@@ -26,23 +26,23 @@ of :mod:`.characters`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
-from .core import Elt, IDENTITY, commutator, compose, conjugate, elt, inverse
+from .core import Elt, commutator, elt
 from .characters import (
     Character,
     ONE,
     UnitValue,
     ValueSymbol,
-    character,
     evaluate,
     root_of_unity,
+    solve_character,
     symbol_value,
 )
-from .subgroup import Subgroup, member_exponents, subgroup
+from .subgroup import Subgroup, subgroup
 
 RANK_PAIRS = ((1, 1), (2, 0), (2, 1), (1, 2), (2, 2), (3, 2))
 
@@ -996,9 +996,9 @@ def character_samples(ranks, subset: str, params) -> list[Character]:
     and satisfies the case's irreducibility conditions.
     """
     p = _check_length(ranks, params)
-    sub = build_subgroup(ranks, p)
-    gens = defining_generators(ranks, p)
-    names = COORD_NAMES[ranks]
+    gens = defining_generators(ranks, p) + [elt(c=1)]
+    sub = subgroup(gens)
+    names = COORD_NAMES[ranks] + ("lambda",)
     assigns: list[dict[str, UnitValue]] = []
     if ranks == (1, 1):
         assigns = [
@@ -1077,80 +1077,21 @@ def character_samples(ranks, subset: str, params) -> list[Character]:
                                 "z": zv, "w": wv, "lambda": lam})
     chars = []
     for a_ in assigns:
-        chi = _character_from_values(sub, gens, names, a_)
-        if chi is not None and chi.is_valid():
-            chars.append(chi)
+        try:
+            chars.append(solve_character(sub, gens, [a_[n] for n in names]))
+        except ValueError:
+            continue
     return chars
-
-
-def _int_inverse(m: list[list[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                fac = aug[r][col]
-                aug[r] = [x - fac * y for x, y in zip(aug[r], aug[col])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise AssertionError("generator exponent matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
-
-
-def _character_from_values(sub: Subgroup, gens: list[Elt], names, vals: dict):
-    """Character on the canonical subgroup taking the given values on the
-    (possibly non-canonical) defining generators.
-
-    The values on the canonical generators are recovered by inverting the
-    integer matrix of exponents expressing each defining generator as a
-    word in the canonical ones; None when the system is inconsistent.
-    """
-    lam = vals.get("lambda", ONE)
-    rows: list[list[int]] = []
-    rhs: list[UnitValue] = []
-    for name, g in zip(names, gens):
-        dec = member_exponents(sub, g)
-        if dec is None:
-            return None
-        q1, q2, qc = dec
-        rows.append(list(q1) + list(q2))
-        rhs.append(vals[name] * lam ** (-qc))
-    n1 = len(sub.gens1)
-    try:
-        inv = _int_inverse(rows)
-    except (AssertionError, StopIteration):
-        return None
-    unknowns = []
-    for j in range(len(rows)):
-        val = ONE
-        for i, r in enumerate(rhs):
-            val = val * r ** inv[j][i]
-        unknowns.append(val)
-    chi = character(sub, unknowns[:n1], unknowns[n1:], lam)
-    for name, g in zip(names, gens):
-        if not (evaluate(chi, g) / vals[name]).is_one:
-            return None
-    return chi
 
 
 def character_from_values(ranks, params, vals: dict) -> Character:
     """Character on build_subgroup(ranks, params) with the given values on
     the defining generators (keys from COORD_NAMES plus "lambda")."""
     p = _check_length(ranks, params)
-    sub = build_subgroup(ranks, p)
-    gens = defining_generators(ranks, p)
-    chi = _character_from_values(sub, gens, COORD_NAMES[ranks], vals)
-    if chi is None:
-        raise ValueError(
-            "the defining generators of this tuple are not the canonical "
-            "generators of its subgroup; renormalize the tuple first")
-    return chi
+    gens = defining_generators(ranks, p) + [elt(c=1)]
+    values = [vals[name] for name in COORD_NAMES[ranks]]
+    return solve_character(subgroup(gens), gens,
+                           values + [vals.get("lambda", ONE)])
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,15 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .core import Elt, conjugate, inverse
+from . import intlin
+from .core import IDENTITY, Elt, conjugate, inverse
 from .subgroup import (
     Subgroup,
     conjugate_subgroup,
+    decompose,
     derived_subgroup,
-    member_exponents,
 )
 
 
@@ -106,10 +107,6 @@ class UnitValue:
             return "circle_free"
         return "torsion"
 
-    @property
-    def on_unit_circle(self) -> bool:
-        return self.modulus_class() != "off_circle"
-
     def numeric(self, assign: Mapping[str, complex]) -> complex:
         """Numeric value for concrete symbol assignments (principal branches)."""
         out = cmath.exp(2j * cmath.pi * float(self.torsion))
@@ -177,20 +174,112 @@ def character(
 
 
 def evaluate(chi: Character, g: Elt) -> UnitValue:
-    got = member_exponents(chi.sub, g)
-    if got is None:
+    quots, rep = decompose(chi.sub, g)
+    if rep != IDENTITY:
         raise ValueError("element outside the character's domain")
-    q1, q2, qc = got
     out = ONE
-    for q, v in zip(q1, chi.vals1):
+    # zip drops val_c when the domain has no centre part (no quotient)
+    for q, v in zip(quots, chi.vals1 + chi.vals2 + (chi.val_c,)):
         if q:
             out = out * v ** q
-    for q, v in zip(q2, chi.vals2):
-        if q:
-            out = out * v ** q
-    if qc:
-        out = out * chi.val_c ** qc
     return out
+
+
+def solve_character(sub: Subgroup, gens: Sequence[Elt],
+                    values: Sequence[UnitValue]) -> Character:
+    """Character on sub taking the given value on each listed generator.
+
+    Solves for the values on the canonical generators over the
+    abelianization, refusing inconsistent assignments.  The generators of
+    the derived subgroup enter the system with value 1, so a returned
+    character kills the derived subgroup: it is valid by construction.
+    """
+    m = len(sub.gens1) + len(sub.gens2) + (1 if sub.c0 else 0)
+    if m == 0:
+        for v in values:
+            if not v.is_one:
+                raise ValueError("the trivial subgroup only carries the "
+                                 "trivial character")
+        return character(sub)
+    rows: list[list[int]] = []
+    targets = []
+
+    def _exp_row(g: Elt) -> list[int]:
+        quots, rep = decompose(sub, g)
+        if rep != IDENTITY:
+            raise RuntimeError("internal inconsistency: a generator fell "
+                               "outside its own subgroup")
+        return quots
+
+    for g, v in zip(gens, values):
+        rows.append(_exp_row(g))
+        targets.append(v)
+    # relations among the generators must map to 1
+    for d in derived_subgroup(sub).generators():
+        rows.append(_exp_row(d))
+        targets.append(ONE)
+
+    hh, uu, kk = intlin.hnf_with_transform(rows)
+    if len(hh) < m or any(hh[i][j] != (1 if i == j else 0)
+                          for i in range(m) for j in range(m)):
+        raise RuntimeError("internal inconsistency: generator exponents do "
+                           "not span the abelianization")
+
+    def _combine(coeffs):
+        acc = ONE
+        for c, v in zip(coeffs, targets):
+            if c:
+                acc = acc * v ** c
+        return acc
+
+    for krow in kk:
+        if not _combine(krow).is_one:
+            raise ValueError(
+                "inconsistent values: a relation among the listed "
+                "generators maps to a nontrivial value")
+    vals = [_combine(uu[j]) for j in range(m)]
+    k1, k2 = len(sub.gens1), len(sub.gens2)
+    return character(sub, tuple(vals[:k1]), tuple(vals[k1:k1 + k2]),
+                     vals[k1 + k2] if sub.c0 else ONE)
+
+
+def power_solutions(x: UnitValue, y: UnitValue):
+    """Solutions n of x * y**n == 1.
+
+    Returns None (no solution), the string "all", or a pair (n0, q): the
+    solutions are n0 + q*Z, with q == 0 pinning the single value n0.
+    """
+    if y.is_one:
+        return "all" if x.is_one else None
+    m = y.value_order()
+    if m is not None:
+        # y is a primitive m-th root of unity; x must be pure torsion and
+        # the congruence n * num(y) = -num(x) (mod m) pins n modulo m
+        if any(e for _, e in x.exps):
+            return None
+        t = -x.torsion * m
+        if t.denominator != 1:
+            return None
+        p = int(y.torsion * m) % m
+        _, pinv, _ = intlin.xgcd(p, m)
+        n0 = (int(t) * pinv) % m
+        return (n0, m) if (x * y ** n0).is_one else None
+    # infinite order: matching any nonzero exponent of y pins n uniquely
+    xe = dict(x.exps)
+    n = None
+    for s, ye in y.exps:
+        if not ye:
+            continue
+        cand = -xe.get(s, 0) / ye
+        if cand.denominator != 1:
+            return None
+        if n is None:
+            n = int(cand)
+        elif n != int(cand):
+            return None
+    if n is None or not (x * y ** n).is_one:
+        return None
+    return (n, 0)
 
 
 def conjugate_character(chi: Character, g: Elt) -> Character:

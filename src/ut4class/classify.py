@@ -8,8 +8,6 @@ the full centre (plus a character for the finer queries) and produce:
   * ``param_set_of``: the admissible subset the tuple belongs to,
   * ``is_irreducible``: the full classification record for a pair,
   * ``stratum``: the unique stratum row an irreducible pair sits on,
-  * ``normalizer_action``: the normalizer generators with their verified
-    multiplier formulas,
   * ``equivalent``: conjugacy of two pairs with an explicit certificate,
   * ``f_equivalents``: finite root/residue replacement companions.
 
@@ -26,38 +24,21 @@ from .cases import NoSubsetError
 from .characters import (
     Character,
     ONE,
-    UnitValue,
     character,
     conjugate_character,
     evaluate,
+    power_solutions,
 )
 from .core import Elt, IDENTITY, compose, conjugate, elt, inverse, power
 from .subgroup import (
+    WHOLE_GROUP,
     Subgroup,
     conjugate_subgroup,
     contains,
     intersect,
     isolator,
-    subgroup,
     transversal,
 )
-
-# every rank pair realized by some subgroup, and the sub-list that can
-# carry an irreducible finite-weight character
-ALL_RANK_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
-                  (2, 0), (2, 1), (2, 2), (3, 2))
-FEASIBLE_RANK_PAIRS = cases.RANK_PAIRS
-
-WHOLE_GROUP = subgroup([elt(a=1), elt(d=1), elt(f=1), elt(b=1), elt(e=1),
-                        elt(c=1)])
-
-
-def feasible_ranks() -> dict:
-    """Census of rank pairs and the ones admitting irreducible pairs."""
-    return {
-        "all_signatures": [list(r) for r in ALL_RANK_PAIRS],
-        "weight_feasible": [list(r) for r in FEASIBLE_RANK_PAIRS],
-    }
 
 
 class CaseStructureError(ValueError):
@@ -80,16 +61,12 @@ class NormalForm:
         }
 
 
-def _same_subgroup(x: Subgroup, y: Subgroup) -> bool:
-    return (x.gens1, x.gens2, x.c0) == (y.gens1, y.gens2, y.c0)
-
-
 def _require_feasible(sub: Subgroup) -> tuple[int, int]:
     if sub.c0 != 1:
         raise ValueError("infeasible ranks: the subgroup does not contain "
                          "the full centre")
     r1, r2, _ = sub.rank_signature()
-    if (r1, r2) not in FEASIBLE_RANK_PAIRS:
+    if (r1, r2) not in cases.RANK_PAIRS:
         raise ValueError(f"infeasible ranks: ({r1}, {r2}) admits no "
                          "irreducible finite-weight pair")
     return (r1, r2)
@@ -99,23 +76,31 @@ def _residues(sub: Subgroup) -> list[tuple[int, int]]:
     return [(g.b, g.e) for g in sub.gens1]
 
 
-def _canonical_residues(sub: Subgroup):
-    """Reduce the level-2 residues modulo conjugation and the level-2
-    lattice; returns (canonical residues, conjugator element)."""
+def _shift_matrix(sub: Subgroup) -> list[list[int]]:
+    """Moves of the flattened level-2 residues of the level-1 generators:
+    one row per axis of a conjugating element's level-1 part, then the
+    level-2 lattice once for each generator."""
     rows1 = sub.level1_rows
     k = len(rows1)
-    shift_basis: list[list[int]] = []
-    for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        av, dv, fv = unit
+    out: list[list[int]] = []
+    for av, dv, fv in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         vec: list[int] = []
         for (va, vd, vf) in rows1:
             vec.extend([av * vd - va * dv, dv * vf - vd * fv])
-        shift_basis.append(vec)
+        out.append(vec)
     for i in range(k):
         for row in sub.level2_rows:
             vec = [0] * (2 * k)
             vec[2 * i], vec[2 * i + 1] = row[0], row[1]
-            shift_basis.append(vec)
+            out.append(vec)
+    return out
+
+
+def _canonical_residues(sub: Subgroup):
+    """Reduce the level-2 residues modulo conjugation and the level-2
+    lattice; returns (canonical residues, conjugator element)."""
+    k = len(sub.gens1)
+    shift_basis = _shift_matrix(sub)
     flat = [x for r in _residues(sub) for x in r]
     nonzero = [r for r in shift_basis if any(r)]
     if nonzero:
@@ -151,7 +136,7 @@ def normal_form(sub: Subgroup) -> NormalForm:
     moved = conjugate_subgroup(sub, g)
     params = _match_shape(ranks, moved, canon)
     built = cases.build_subgroup(ranks, params)
-    if not _same_subgroup(built, moved):
+    if built != moved:
         raise AssertionError("normal form replay failed: the canonical "
                              "subgroup does not match the conjugated input")
     return NormalForm(ranks, tuple(params), g, built)
@@ -290,7 +275,7 @@ def param_set_of(sub_or_ranks, params=None) -> str:
 def transport_character(nf: NormalForm, chi: Character) -> Character:
     """Move a character on the original subgroup to the canonical one."""
     moved = conjugate_character(chi, inverse(nf.conjugator))
-    if not _same_subgroup(moved.sub, nf.sub):
+    if moved.sub != nf.sub:
         raise AssertionError("character transport missed the canonical "
                              "subgroup")
     return character(nf.sub, moved.vals1, moved.vals2, moved.val_c)
@@ -400,79 +385,8 @@ class StratumResult:
         return out
 
 
-def normalizer_action(sub: Subgroup, chi: Character) -> dict:
-    """Normalizer generators of the canonical subgroup with the values of
-    the conjugated character on the defining generators; tabulated closed
-    forms are cross-checked against the first-principles computation."""
-    nf = normal_form(sub)
-    subset = cases.subset_of(nf.ranks, nf.params)
-    chi2 = transport_character(nf, chi)
-    v = cases.case_values(nf.ranks, nf.params, chi2)
-    gens = cases.defining_generators(nf.ranks, nf.params)
-    out = {"ranks": list(nf.ranks), "subset": subset,
-           "params": list(nf.params), "generators": []}
-    for gi, g in enumerate(cases.normalizer_generators(nf.ranks, subset,
-                                                       nf.params)):
-        cc = conjugate_character(chi2, g)
-        computed = [evaluate(cc, h) for h in gens]
-        rec = {"generator": list(g),
-               "values": {name: str(x) for name, x in
-                          zip(cases.COORD_NAMES[nf.ranks], computed)}}
-        tab = cases.tabulated_action(nf.ranks, subset, nf.params, gi, v)
-        if tab is not None:
-            agree = all((x / y).is_one for x, y in zip(computed, tab))
-            if not agree:
-                raise RuntimeError(
-                    "internal inconsistency: tabulated normalizer action "
-                    "disagrees with the computed conjugation")
-            rec["tabulated"] = True
-        variant = cases.printed_action_variant(nf.ranks, subset, nf.params,
-                                               gi, v)
-        if variant is not None:
-            note, vals = variant
-            rec["displayed_variant"] = {
-                "note": note,
-                "matches_computed": all((x / y).is_one
-                                        for x, y in zip(computed, vals)),
-            }
-        out["generators"].append(rec)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # conjugacy of pairs
-
-
-def _solve_power(x: UnitValue, y: UnitValue):
-    """Exact solve of x == y**n over the integers; None when no n works."""
-    from fractions import Fraction
-    if y.is_one:
-        return 0 if x.is_one else None
-    ymap = dict(y.exps)
-    xmap = dict(x.exps)
-    n = None
-    for sym, ey in y.exps:
-        if ey == 0:
-            continue
-        cand = xmap.get(sym, Fraction(0)) / ey
-        if cand.denominator != 1:
-            return None
-        if n is not None and cand != n:
-            return None
-        n = cand
-    if any(ex and sym not in ymap for sym, ex in x.exps):
-        return None
-    if n is not None:
-        n = int(n)
-        return n if (x / y ** n).is_one else None
-    # y is pure torsion; scan one period
-    m = y.value_order()
-    if m is None:
-        return None
-    for k in range(m):
-        if (x / y ** k).is_one:
-            return k
-    return None
 
 
 def _normalizer_level1_lattice(sub: Subgroup) -> list[tuple[int, int, int]]:
@@ -483,20 +397,7 @@ def _normalizer_level1_lattice(sub: Subgroup) -> list[tuple[int, int, int]]:
     condition on its level-1 coordinates, and the tail coordinates are
     free.
     """
-    rows1 = sub.level1_rows
-    k = len(rows1)
-    stacked: list[list[int]] = []
-    for av, dv, fv in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        vec: list[int] = []
-        for (va, vd, vf) in rows1:
-            vec.extend([av * vd - va * dv, dv * vf - vd * fv])
-        stacked.append(vec)
-    for i in range(k):
-        for row in sub.level2_rows:
-            vec = [0] * (2 * k)
-            vec[2 * i], vec[2 * i + 1] = row[0], row[1]
-            stacked.append(vec)
-    proj = [kr[:3] for kr in intlin.left_kernel(stacked)]
+    proj = [kr[:3] for kr in intlin.left_kernel(_shift_matrix(sub))]
     return [tuple(r) for r in intlin.hnf(proj)]
 
 
@@ -554,16 +455,13 @@ def _monomial_solve(factors: list[dict], target: dict):
 
 
 def equivalent(sub1: Subgroup, chi1: Character, sub2: Subgroup,
-               chi2: Character, radius: int = 5) -> dict:
+               chi2: Character) -> dict:
     """Conjugacy test for two pairs.
 
     status is "equivalent" (with a certificate conjugator) or "not
     equivalent (proved)" (an exact invariant or the exact normalizer-orbit
-    solve separates the pairs).  The solve over the full normalizer is
-    exact, so the reserved bounded-search status "not equivalent within
-    radius" does not occur; radius is accepted for interface stability.
+    solve separates the pairs).
     """
-    del radius
     nf1, nf2 = normal_form(sub1), normal_form(sub2)
     if nf1.ranks != nf2.ranks:
         return {"status": "not equivalent (proved)",
@@ -590,12 +488,13 @@ def equivalent(sub1: Subgroup, chi1: Character, sub2: Subgroup,
     deltas = []
     for name, s in zip(names, cases.defining_generators(ranks, params)):
         if name in ("z", "w"):
-            n = _solve_power(v1[name] / v2[name], lam)
-            if n is None:
+            # the smallest n >= 0 with v1 == v2 * lam**n
+            sol = power_solutions(v2[name] / v1[name], lam)
+            if sol is None:
                 return {"status": "not equivalent (proved)",
                         "invariant": f"the {name} values do not differ by "
                         "a power of the central value"}
-            deltas.append((n, s))
+            deltas.append((0 if sol == "all" else sol[0], s))
     pairing_rows = [[u[0] * s.e - u[2] * s.b for _, s in deltas]
                     for u in basis]
     torsion_order = lam.value_order()
@@ -668,7 +567,7 @@ def equivalent(sub1: Subgroup, chi1: Character, sub2: Subgroup,
     w = compose(u_a, u_b)
     total = compose(inverse(nf2.conjugator), compose(w, nf1.conjugator))
     moved = conjugate_subgroup(sub1, total)
-    if not _same_subgroup(moved, sub2):
+    if moved != sub2:
         raise RuntimeError("internal inconsistency: certificate conjugator "
                            "fails to move the first subgroup onto the second")
     cc = conjugate_character(chi1, inverse(total))
@@ -710,10 +609,8 @@ def f_equivalents(sub: Subgroup, chi: Character, limit: int = 20) -> dict:
             chi2 = cases.character_from_values(nf.ranks, p2, vals2)
         except (ValueError, AssertionError):
             continue
-        if not chi2.is_valid():
-            continue
         sub2 = chi2.sub
-        if not _same_subgroup(isolator(sub2), iso0):
+        if isolator(sub2) != iso0:
             continue
         ok2 = cases.validity(nf.ranks, ss2, p2, chi2)[0]
         if ok2 is None:
@@ -735,4 +632,4 @@ def f_equivalents(sub: Subgroup, chi: Character, limit: int = 20) -> dict:
 
 def is_isolated(sub: Subgroup) -> bool:
     """Whether the subgroup equals its own isolator."""
-    return _same_subgroup(isolator(sub), sub)
+    return isolator(sub) == sub

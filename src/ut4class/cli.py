@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -29,16 +30,14 @@ from fractions import Fraction
 import jsonschema
 
 from . import cases, classify, oracle
-from .characters import ONE, ValueSymbol, character, root_of_unity, symbol_value
-from .core import Elt
-from .intlin import hnf_with_transform
-from .subgroup import (
-    Subgroup,
-    derived_subgroup,
-    isolator,
-    member_exponents,
-    subgroup,
+from .characters import (
+    ValueSymbol,
+    root_of_unity,
+    solve_character,
+    symbol_value,
 )
+from .core import Elt
+from .subgroup import isolator, subgroup
 
 # ---------------------------------------------------------------- schemas
 
@@ -218,64 +217,6 @@ def _value(spec, lifter: _NumericLifter):
     return lifter.lift(re_s, im_s)
 
 
-def _solve_character(sub: Subgroup, gens: list[Elt], values: list):
-    """Character on sub taking the given value on each listed generator.
-
-    Solves for the values on the canonical generators over the
-    abelianization, refusing inconsistent assignments.
-    """
-    m = len(sub.gens1) + len(sub.gens2) + (1 if sub.c0 else 0)
-    if m == 0:
-        for v in values:
-            if not v.is_one:
-                raise ValueError("the trivial subgroup only carries the "
-                                 "trivial character")
-        return character(sub)
-    rows: list[list[int]] = []
-    targets = []
-
-    def _exp_row(g: Elt) -> list[int]:
-        got = member_exponents(sub, g)
-        if got is None:
-            raise RuntimeError("internal inconsistency: a generator fell "
-                               "outside its own subgroup")
-        q1, q2, qc = got
-        return list(q1) + list(q2) + ([qc] if sub.c0 else [])
-
-    for g, v in zip(gens, values):
-        rows.append(_exp_row(g))
-        targets.append(v)
-    # relations among the generators must map to 1
-    for d in derived_subgroup(sub).generators():
-        rows.append(_exp_row(d))
-        targets.append(ONE)
-
-    hh, uu, kk = hnf_with_transform(rows)
-    if len(hh) < m or any(hh[i][j] != (1 if i == j else 0)
-                          for i in range(m) for j in range(m)):
-        raise RuntimeError("internal inconsistency: generator exponents do "
-                           "not span the abelianization")
-
-    def _combine(coeffs):
-        acc = ONE
-        for c, v in zip(coeffs, targets):
-            if c:
-                acc = acc * v ** c
-        return acc
-
-    for krow in kk:
-        if not _combine(krow).is_one:
-            raise ValueError(
-                "inconsistent values: a relation among the listed "
-                "generators maps to a nontrivial value")
-    vals = [_combine(uu[j]) for j in range(m)]
-    k1, k2 = len(sub.gens1), len(sub.gens2)
-    chi = character(sub, tuple(vals[:k1]), tuple(vals[k1:k1 + k2]),
-                    vals[k1 + k2] if sub.c0 else ONE)
-    chi.validate()
-    return chi
-
-
 def _pair_obj(spec: dict, lifter: _NumericLifter, need_values: bool):
     gens = [Elt(*row) for row in spec["generators"]]
     sub = subgroup(gens)
@@ -287,7 +228,7 @@ def _pair_obj(spec: dict, lifter: _NumericLifter, need_values: bool):
     if len(raw) != len(gens):
         raise ValueError("need exactly one value per generator")
     values = [_value(v, lifter) for v in raw]
-    return sub, _solve_character(sub, gens, values)
+    return sub, solve_character(sub, gens, values)
 
 
 # --------------------------------------------------------------- handlers
@@ -324,7 +265,7 @@ def _cmd_equivalent(payload, args):
     lifter = _NumericLifter(args.numeric_q, args.tolerance)
     s1, c1 = _pair_obj(payload["first"], lifter, need_values=True)
     s2, c2 = _pair_obj(payload["second"], lifter, need_values=True)
-    return classify.equivalent(s1, c1, s2, c2, radius=args.radius)
+    return classify.equivalent(s1, c1, s2, c2)
 
 
 def _cmd_isolator(payload, args):
@@ -429,8 +370,8 @@ def _human(command: str, res: dict) -> str:
         line = res["status"]
         if "conjugator" in res:
             line += f"  conjugator {tuple(res['conjugator'])}"
-        if res.get("reason"):
-            line += f"  ({res['reason']})"
+        if res.get("invariant"):
+            line += f"  ({res['invariant']})"
         return line
     if command == "isolator":
         iso = res["isolator"]
@@ -463,6 +404,16 @@ def _human(command: str, res: dict) -> str:
 # ------------------------------------------------------------ entry point
 
 
+@functools.cache
+def _validator(command: str):
+    """Validator for one command's schema, checked against its metaschema
+    once rather than on every request."""
+    schema = _SCHEMAS[command]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def _read_payload(args) -> dict:
     if args.path == "-":
         text = sys.stdin.read()
@@ -478,15 +429,12 @@ def _read_payload(args) -> dict:
         if "payload" not in obj:
             raise jsonschema.ValidationError("envelope without payload")
         obj = obj["payload"]
-    jsonschema.validate(obj, _SCHEMAS[args.command])
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(
+        _validator(args.command).iter_errors(obj))
+    if error is not None:
+        raise error
     return obj
-
-
-def _nonneg(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return n
 
 
 def _positive(text: str) -> int:
@@ -510,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "unitriangular 4x4 integer matrices.")
     sp = ap.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, radius=None, box=None, limit=None):
+    def add(name: str, help_text: str, box=None, limit=None):
         p = sp.add_parser(name, help=help_text)
         p.add_argument("path", nargs="?", default="-",
                        help="JSON request file (default: standard input)")
@@ -524,9 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=_tolerance, default=1e-9,
                        metavar="T", help="numeric lifting tolerance, in "
                        "(0, 1e-3] (default 1e-9)")
-        if radius is not None:
-            p.add_argument("--radius", type=_nonneg, default=radius,
-                           help=f"search ball radius (default {radius})")
         if box is not None:
             p.add_argument("--box", type=int, default=box,
                            help=f"parameter box half-width (default {box})")
@@ -538,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("classify", "normal form and subset; with values, full verdict")
     add("irreducible", "decide irreducibility of a subgroup/character pair")
     add("stratum", "the stratum row carrying an irreducible pair")
-    add("equivalent", "decide conjugacy of two pairs", radius=4)
+    add("equivalent", "decide conjugacy of two pairs")
     add("isolator", "isolator subgroup and isolation test")
     add("ranks", "rank signature and Hirsch length")
     add("f-equivalents", "finite-weight companions with equal restriction",

@@ -112,38 +112,3 @@ def from_matrix(m) -> Elt:
 def mat_mul(p, q) -> list[list[int]]:
     return [[sum(p[i][k] * q[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
 
-
-_J = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-
-
-def flip(x: Elt) -> Elt:
-    """The automorphism J * transpose(x)^-1 * J (J the antidiagonal).
-
-    It swaps the roles of the a- and f-columns; several parameter
-    families in the classification are mirror images of each other under
-    it, which the case tables exploit.
-    """
-    inv = to_matrix(inverse(x))
-    tr = [[inv[j][i] for j in range(4)] for i in range(4)]
-    return from_matrix(mat_mul(mat_mul(_J, tr), _J))
-
-
-def central_pairing(g: Elt, s: Elt) -> int:
-    """Corner coordinate of [g, s] for s in the derived subgroup.
-
-    For s with coordinates (B, E) on the middle layer the commutator is
-    central with corner value a_g * E - f_g * B; membership of s in the
-    derived subgroup is the caller's responsibility.
-    """
-    return g.a * s.e - g.f * s.b
-
-
-def conj_shift(g: Elt, t: Elt) -> tuple[int, int]:
-    """Middle-layer displacement of t under conjugation by g.
-
-    g t g^-1 differs from t by an element of the derived subgroup whose
-    (b, e) part is (a_g*d_t - a_t*d_g, d_g*f_t - d_t*f_g); the corner
-    part depends on both elements' full coordinates and is not reported
-    here.
-    """
-    return (g.a * t.d - t.a * g.d, g.d * t.f - t.d * g.f)

@@ -15,7 +15,6 @@ tails, solution coefficients).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 Row = tuple[int, ...]
@@ -229,10 +228,6 @@ def lattice_intersect(
     return hnf(meet)
 
 
-def same_lattice(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]) -> bool:
-    return hnf(a_rows) == hnf(b_rows)
-
-
 def lattice_index(sup_rows: Sequence[Sequence[int]], sub_rows: Sequence[Sequence[int]]) -> int | None:
     """Index [sup : sub] for nested row lattices; None when infinite.
 
@@ -352,80 +347,3 @@ def _sub_multi(alpha):
         out = [pt + (v,) for pt in out for v in range(a + 1)]
     return out
 
-
-class QuadMap:
-    """Exact polynomial map Z^n -> Z^m of total degree <= 2.
-
-    Coefficients may be half-integers (Fractions) while values on Z^n
-    stay integral, e.g. v*(v-1)/2.
-    """
-
-    def __init__(self, n: int, const: list[Fraction], lin: list[list[Fraction]],
-                 quad: list[list[list[Fraction]]]):
-        self.n = n
-        self.const = const
-        self.lin = lin
-        self.quad = quad  # per output coord: symmetric n x n
-
-    @property
-    def m(self) -> int:
-        return len(self.const)
-
-    def __call__(self, v: Sequence[int]) -> Row:
-        out = []
-        for c, l, q in zip(self.const, self.lin, self.quad):
-            s = c
-            for i, vi in enumerate(v):
-                if vi:
-                    s += l[i] * vi
-                    for j, vj in enumerate(v):
-                        if vj:
-                            s += q[i][j] * vi * vj
-            if s.denominator != 1:
-                raise ValueError("quadratic model produced a non-integer value")
-            out.append(int(s))
-        return tuple(out)
-
-    def linear_part_matrix(self) -> list[list[Fraction]]:
-        return self.lin
-
-    def quad_vanishes(self) -> bool:
-        return all(all(all(x == 0 for x in row) for row in q) for q in self.quad)
-
-
-def fit_quadratic(f: Callable[[Row], Sequence[int]], n: int,
-                  check_vectors: Iterable[Row] = ()) -> QuadMap:
-    """Interpolate a degree-<=2 integer-valued map from 1 + 2n + C(n,2) probes.
-
-    Raises ValueError if any supplied check vector disagrees with the
-    fitted model (callers pass extra probes to guard against the source
-    not actually being quadratic).
-    """
-    zero = tuple(0 for _ in range(n))
-    f0 = tuple(f(zero))
-    m = len(f0)
-    const = [Fraction(x) for x in f0]
-    lin = [[Fraction(0)] * n for _ in range(m)]
-    quad = [[[Fraction(0)] * n for _ in range(n)] for _ in range(m)]
-    e = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
-    fe = [tuple(f(e[i])) for i in range(n)]
-    for i in range(n):
-        f2 = f(tuple(2 * t for t in e[i]))
-        for k in range(m):
-            a = fe[i][k] - f0[k]          # l_i + q_ii
-            b = f2[k] - f0[k]             # 2 l_i + 4 q_ii
-            qii = Fraction(b - 2 * a, 2)
-            quad[k][i][i] = qii
-            lin[k][i] = Fraction(a) - qii
-    for i in range(n):
-        for j in range(i + 1, n):
-            fij = f(tuple(x + y for x, y in zip(e[i], e[j])))
-            for k in range(m):
-                cross = (Fraction(fij[k] - f0[k]) - lin[k][i] - lin[k][j]
-                         - quad[k][i][i] - quad[k][j][j])
-                quad[k][i][j] = quad[k][j][i] = cross / 2
-    model = QuadMap(n, const, lin, quad)
-    for v in check_vectors:
-        if model(v) != tuple(f(v)):
-            raise ValueError("map is not quadratic: check vector disagrees")
-    return model

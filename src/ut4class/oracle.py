@@ -10,24 +10,23 @@ Nothing in this module trusts a tabulated closed form.
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cases, intlin
-from .cases import NoSubsetError
-from .characters import Character, UnitValue, conjugate_character, evaluate
+from .characters import (
+    Character,
+    conjugate_character,
+    evaluate,
+    power_solutions,
+)
 from .core import Elt, compose, conjugate, elt, inverse, power
 from .subgroup import (
+    WHOLE_GROUP,
     Subgroup,
     conjugate_subgroup,
     contains,
-    coset_rep,
+    decompose,
     intersect,
-    subgroup,
     transversal,
 )
-
-_WHOLE_GROUP = subgroup([elt(a=1), elt(d=1), elt(f=1),
-                         elt(b=1), elt(e=1), elt(c=1)])
 
 
 @dataclass(frozen=True)
@@ -70,45 +69,6 @@ class SWitness:
         }
 
 
-def _power_solutions(x: UnitValue, y: UnitValue):
-    """Solutions n of x * y**n == 1.
-
-    Returns None (no solution), the string "all", or a pair (n0, q): the
-    solutions are n0 + q*Z, with q == 0 pinning the single value n0.
-    """
-    if y.is_one:
-        return "all" if x.is_one else None
-    m = y.value_order()
-    if m is not None:
-        # y is a primitive m-th root of unity; x must be pure torsion and
-        # the congruence n * num(y) = -num(x) (mod m) pins n modulo m
-        if any(e for _, e in x.exps):
-            return None
-        t = -x.torsion * m
-        if t.denominator != 1:
-            return None
-        p = int(y.torsion * m) % m
-        _, pinv, _ = intlin.xgcd(p, m)
-        n0 = (int(t) * pinv) % m
-        return (n0, m) if (x * y ** n0).is_one else None
-    # infinite order: matching any nonzero exponent of y pins n uniquely
-    xe = dict(x.exps)
-    n = None
-    for s, ye in y.exps:
-        if not ye:
-            continue
-        cand = -xe.get(s, 0) / ye
-        if cand.denominator != 1:
-            return None
-        if n is None:
-            n = int(cand)
-        elif n != int(cand):
-            return None
-    if n is None or not (x * y ** n).is_one:
-        return None
-    return (n, 0)
-
-
 def _level1_sublattice(H: Subgroup, A: int, D: int, F: int):
     """Coefficient rows (over the level-1 generators) of the directions
     whose conjugation shift stays inside the level-2 lattice."""
@@ -142,27 +102,22 @@ def _chi_class_data(H: Subgroup, chi: Character, g0: Elt, coeffs):
             continue
         delta = compose(conjugate(k, g0), inverse(k))
         rho = evaluate(chi, delta)
-        sol = _power_solutions(rho, lam)
+        sol = power_solutions(rho, lam)
         if sol is None:
             return None
         out.append(((k.f, -k.a), sol))
     return out
 
 
-def _grid_mask(rows, radius: int):
-    """Boolean (B, E) grid for the combined membership conditions."""
-    n = 2 * radius + 1
-    axis = np.arange(-radius, radius + 1, dtype=np.int64)
-    mask = np.ones((n, n), dtype=bool)
-    for (cb, ce), sol in rows:
-        if sol == "all":
-            continue
-        grid = cb * axis[:, None] + ce * axis[None, :]
-        n0, q = sol
-        mask &= (grid == n0) if q == 0 else ((grid - n0) % q == 0)
-        if not mask.any():
-            break
-    return mask
+def _grid_points(rows, radius: int) -> list[tuple[int, int]]:
+    """(B, E) pairs of the box, in row-major order, meeting every
+    condition cb*B + ce*E == n0 (mod q) of the class data (q == 0 asks
+    for equality)."""
+    conds = [(cb, ce, *sol) for (cb, ce), sol in rows if sol != "all"]
+    rng = range(-radius, radius + 1)
+    return [(B, E) for B in rng for E in rng
+            if all((cb * B + ce * E - n0) % q == 0 if q
+                   else cb * B + ce * E == n0 for cb, ce, n0, q in conds)]
 
 
 def _character_record(chi: Character, g: Elt, dom: Subgroup) -> tuple:
@@ -209,23 +164,15 @@ def _s_ball(H: Subgroup, chi, radius: int, outside_only: bool,
         if not full:
             continue
         if chi is None:
-            rows = None
+            rows = []
         else:
             rows = _chi_class_data(H, chi, g0, coeffs)
             if rows is None:
                 continue
         dom = None
-        if rows is None:
-            mask = np.ones((len(cs), len(cs)), dtype=bool)
-        else:
-            mask = _grid_mask(rows, radius)
-            if not mask.any():
-                continue
-        for bi, ei in np.argwhere(mask):
-            B = bi - radius
-            E = ei - radius
+        for B, E in _grid_points(rows, radius):
             for c in cs:
-                g = Elt(A, D, F, int(B), int(E), c)
+                g = Elt(A, D, F, B, E, c)
                 if outside_only and contains(H, g):
                     continue
                 if dom is None:
@@ -272,10 +219,10 @@ def endo_dimension_finite(H: Subgroup, chi: Character) -> int:
     stabilizer set, by full coset enumeration."""
     if H.rank_signature() != (3, 2, 1):
         raise ValueError("infinite index")
-    reps = transversal(H, _WHOLE_GROUP)
+    reps = transversal(H, WHOLE_GROUP)
     tags = {}
     for t in reps:
-        tags[tuple(coset_rep(H, t))] = t
+        tags[decompose(H, t)[1]] = t
     in_s = set()
     for key, t in tags.items():
         dom = intersect(conjugate_subgroup(H, t), H)
@@ -297,7 +244,7 @@ def endo_dimension_finite(H: Subgroup, chi: Character) -> int:
         while frontier:
             t = frontier.pop()
             for h in gens:
-                nk = tuple(coset_rep(H, compose(t, h)))
+                nk = decompose(H, compose(t, h))[1]
                 if nk not in seen:
                     if nk not in in_s:
                         raise RuntimeError(
@@ -346,8 +293,7 @@ def verify_case(ranks, parameter_box, limit: int | None = None) -> dict:
         gens = cases.defining_generators(ranks, p)
         ngens = cases.normalizer_generators(ranks, ss, p)
         for gi, u in enumerate(ngens):
-            m = conjugate_subgroup(sub, u)
-            if (m.gens1, m.gens2, m.c0) != (sub.gens1, sub.gens2, sub.c0):
+            if conjugate_subgroup(sub, u) != sub:
                 _closed(report, "discrepancies", (ss, "normalize", gi), p,
                         {"subset": ss, "kind": "generator fails to normalize",
                          "generator": gi})

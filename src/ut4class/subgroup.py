@@ -9,15 +9,15 @@ into fixed fundamental domains, so equal subgroups have equal canonical
 data; structural equality of ``Subgroup`` values is subgroup equality.
 
 All computations are exact.  The few operations whose general case
-needs a search (certain intersections and centralizers of pathological
-inputs) mark their result with a flag instead of guessing; every
-classification-facing call stays on the exact paths.
+needs a search (certain intersections of pathological inputs) mark their
+result with a flag instead of guessing; every classification-facing call
+stays on the exact paths.  Flags do not take part in equality.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Iterable, Sequence
@@ -70,7 +70,7 @@ class Subgroup:
     gens1: tuple[Elt, ...]
     gens2: tuple[Elt, ...]
     c0: int
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def level1_rows(self) -> list[tuple[int, int, int]]:
@@ -246,70 +246,51 @@ def subgroup(generators: Iterable[Elt], flags: Iterable[str] = ()) -> Subgroup:
     return b.finish(flags)
 
 
-def contains(h: Subgroup, g: Elt) -> bool:
-    v = (g.a, g.d, g.f)
-    for t in h.gens1:
-        r = (t.a, t.d, t.f)
-        j = _first_nz(r)
-        if v[j]:
-            if v[j] % r[j]:
-                return False
-            g = compose(power(t, -(v[j] // r[j])), g)
-            v = (g.a, g.d, g.f)
-    if any(v):
-        return False
-    for s in h.gens2:
-        r = (s.b, s.e)
-        j = _first_nz(r)
-        w = (g.b, g.e)[j]
-        if w:
-            if w % r[j]:
-                return False
-            g = compose(power(s, -(w // r[j])), g)
-    if g.b or g.e:
-        return False
-    return g.c % h.c0 == 0 if h.c0 else g.c == 0
+WHOLE_GROUP = subgroup([elt(a=1), elt(d=1), elt(f=1), elt(b=1), elt(e=1),
+                        elt(c=1)])
 
 
-def member_exponents(
-    h: Subgroup, g: Elt
-) -> tuple[list[int], list[int], int] | None:
-    """Coordinates of g along the canonical generators, or None if g is
-    outside h.  g == prod(gens1^q1) * prod(gens2^q2) * elt(c=c0)^qc."""
-    q1 = []
-    v = (g.a, g.d, g.f)
-    for t in h.gens1:
-        r = (t.a, t.d, t.f)
-        j = _first_nz(r)
-        q = 0
-        if v[j]:
-            if v[j] % r[j]:
-                return None
-            q = v[j] // r[j]
+def _walk(gens: Iterable[Elt], g: Elt) -> tuple[list[int], Elt]:
+    """Floor-divide g along echelon generators, left to right, each on its
+    first nonzero coordinate: (one quotient per generator, what is left)."""
+    quots = []
+    for t in gens:
+        j = _first_nz(t)
+        q = g[j] // t[j]
+        quots.append(q)
+        if q:
             g = compose(power(t, -q), g)
-            v = (g.a, g.d, g.f)
-        q1.append(q)
-    if any(v):
-        return None
-    q2 = []
-    for s in h.gens2:
-        r = (s.b, s.e)
-        j = _first_nz(r)
-        w = (g.b, g.e)[j]
-        q = 0
-        if w:
-            if w % r[j]:
-                return None
-            q = w // r[j]
-            g = compose(power(s, -q), g)
-        q2.append(q)
-    if g.b or g.e:
-        return None
+    return quots, g
+
+
+def decompose(h: Subgroup, g: Elt) -> tuple[list[int], Elt]:
+    """Quotients of g along h.generators() and the canonical
+    representative rep of the right coset H*g.
+
+    g == prod(gen**q) * rep, and g lies in h exactly when rep is the
+    identity; the quotients are then the coordinates of g.
+    """
+    quots, g = _walk(h.gens1 + h.gens2, g)
     if h.c0:
-        if g.c % h.c0:
-            return None
-        return q1, q2, g.c // h.c0
-    return (q1, q2, 0) if g.c == 0 else None
+        q = g.c // h.c0
+        quots.append(q)
+        g = g._replace(c=g.c - q * h.c0)
+    return quots, g
+
+
+def contains(h: Subgroup, g: Elt) -> bool:
+    return decompose(h, g)[1] == IDENTITY
+
+
+def level1_preimage(h: Subgroup, v: Sequence[int]) -> Elt:
+    """The canonical element of H whose (a, d, f) coordinates equal v."""
+    a, d, f = v
+    _, r = _walk(h.gens1, elt(a=a, d=d, f=f))
+    if r.a or r.d or r.f:
+        raise ValueError("vector outside the level-1 lattice")
+    # elt(a, d, f) is the preimage times r, and r lies in the derived
+    # subgroup, so the preimage is elt(a, d, f) * r^-1 in closed form
+    return Elt(a, d, f, -r.b, -r.e, -r.c - a * r.e)
 
 
 def derived_subgroup(h: Subgroup) -> Subgroup:
@@ -326,45 +307,6 @@ def derived_subgroup(h: Subgroup) -> Subgroup:
     triples = [commutator(c, g) for c in pairs for g in gens]
     return subgroup(pairs + [t for t in triples if t != IDENTITY],
                     flags=h.flags)
-
-
-def coset_rep(h: Subgroup, g: Elt) -> Elt:
-    """Canonical representative of the right coset H*g."""
-    for t in h.gens1:
-        r = (t.a, t.d, t.f)
-        j = _first_nz(r)
-        q = (g.a, g.d, g.f)[j] // r[j]
-        if q:
-            g = compose(power(t, -q), g)
-    for s in h.gens2:
-        r = (s.b, s.e)
-        j = _first_nz(r)
-        q = (g.b, g.e)[j] // r[j]
-        if q:
-            g = compose(power(s, -q), g)
-    if h.c0:
-        q = g.c // h.c0
-        if q:
-            g = compose(elt(c=-q * h.c0), g)
-    return g
-
-
-def level1_preimage(h: Subgroup, v: Sequence[int]) -> Elt:
-    """The canonical element of H whose (a, d, f) coordinates equal v."""
-    g = IDENTITY
-    v = list(v)
-    for t in h.gens1:
-        r = (t.a, t.d, t.f)
-        j = _first_nz(r)
-        if v[j]:
-            if v[j] % r[j]:
-                raise ValueError("vector outside the level-1 lattice")
-            q = v[j] // r[j]
-            g = compose(g, power(t, q))
-            v = [a - q * b for a, b in zip(v, r)]
-    if any(v):
-        raise ValueError("vector outside the level-1 lattice")
-    return g
 
 
 def conjugate_subgroup(h: Subgroup, g: Elt) -> Subgroup:
@@ -572,51 +514,6 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
             assert contains(h, w) and contains(k, w)
             gens.append(w)
     return subgroup(gens, flags=flags)
-
-
-# --- centralizer ---
-
-def centralizer(h: Subgroup) -> Subgroup:
-    """Canonical form of the centralizer of h in the whole group."""
-    t1 = list(h.gens1)
-    rows = []
-    for t in t1:
-        rows.append((t.d, -t.a, 0))
-        rows.append((0, t.f, -t.d))
-    for s in h.gens2:
-        rows.append((s.e, 0, -s.b))
-    vbasis = intlin.kernel_right([r for r in rows if any(r)], 3)
-    flags = set(h.flags)
-    gens: list[Elt] = [elt(c=1)]
-    arows = [(-t.f, t.a) for t in t1]
-    for b_, e_ in intlin.kernel_right([r for r in arows if any(r)], 2):
-        gens.append(elt(b=b_, e=e_))
-    if vbasis:
-        if t1:
-            def psi(y: tuple[int, ...]) -> tuple[int, ...]:
-                v = _combo(y, vbasis)
-                u = elt(a=v[0], d=v[1], f=v[2])
-                return tuple(commutator(u, t).c for t in t1)
-
-            lam_rows = [tuple(-t.f for t in t1), tuple(t.a for t in t1)]
-            sv, exact = subgroup_level_set(psi, len(vbasis), lam_rows, len(t1))
-            if not exact:
-                flags.add("centralizer_search_bounded")
-            for y in sv:
-                v = _combo(y, vbasis)
-                got = intlin.solve_linear(arows, psi(y))
-                assert got is not None
-                be = got[0]
-                gens.append(compose(elt(a=v[0], d=v[1], f=v[2]),
-                                    elt(b=be[0], e=be[1])))
-        else:
-            for v in vbasis:
-                gens.append(elt(a=v[0], d=v[1], f=v[2]))
-    res = subgroup(gens, flags=flags)
-    for t in h.generators():
-        for g in res.generators():
-            assert commutator(g, t) == IDENTITY
-    return res
 
 
 # --- isolator ---

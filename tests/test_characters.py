@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ut4class import cases
 from ut4class.characters import (
     ONE,
     Character,
@@ -14,8 +15,10 @@ from ut4class.characters import (
     character,
     conjugate_character,
     evaluate,
+    power_solutions,
     restrict,
     root_of_unity,
+    solve_character,
     symbol_value,
 )
 from ut4class.core import Elt, IDENTITY, compose, conjugate, elt, inverse, power
@@ -57,8 +60,19 @@ def test_modulus_class_and_order():
     assert symbol_value(Z).modulus_class() == "off_circle"
     assert (symbol_value(Z) * symbol_value(Z, -1)).modulus_class() == "torsion"
     assert (symbol_value(Z) * symbol_value(W)).modulus_class() == "off_circle"
-    assert not symbol_value(Z).on_unit_circle
-    assert symbol_value(W).on_unit_circle
+
+
+def test_power_solutions():
+    w = root_of_unity(1, 6)
+    assert power_solutions(ONE, w) == (0, 6)
+    assert power_solutions(w, w) == (5, 6)
+    assert power_solutions(root_of_unity(1, 4), w) is None
+    lam = symbol_value(LAM)
+    assert power_solutions(ONE, lam) == (0, 0)
+    assert power_solutions(lam ** 3, lam) == (-3, 0)
+    assert power_solutions(lam, lam ** 2) is None  # odd power needed
+    assert power_solutions(ONE, ONE) == "all"
+    assert power_solutions(lam, ONE) is None
 
 
 def test_numeric_consistency():
@@ -123,6 +137,27 @@ def test_character_must_kill_derived_subgroup():
         val_c=ONE,
     )
     assert not bad2.is_valid()
+
+
+def test_solve_character_recovers_valid_characters():
+    # the solve makes no separate validity pass: each result must kill the
+    # derived subgroup, and a character's own values must give it back
+    rng = random.Random(71)
+    done = 0
+    for ranks in cases.RANK_PAIRS:
+        for p in cases.enumerate_params(ranks, (-1, 1))[:30]:
+            ss = cases.subset_of(ranks, p)
+            for chi in cases.character_samples(ranks, ss, p):
+                assert chi.is_valid()
+                gens = list(chi.sub.generators())
+                gens += [compose(rng.choice(gens), rng.choice(gens))
+                         for _ in range(3)]
+                rng.shuffle(gens)
+                got = solve_character(chi.sub, gens,
+                                      [evaluate(chi, g) for g in gens])
+                assert got == chi and got.is_valid()
+                done += 1
+    assert done
 
 
 def test_character_torsion_compatibility():

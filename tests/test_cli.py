@@ -3,8 +3,15 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
+import jsonschema
 import pytest
+
+import ut4class
 
 from ut4class import cases, cli
 from ut4class.characters import root_of_unity
@@ -155,6 +162,45 @@ def test_equivalent_rank_mismatch_proved(tmp_path, capsys):
     assert json.loads(out)["status"] == "not equivalent (proved)"
 
 
+# (1,1) pairs on one set of generators: a level-1 generator, the primitive
+# corner direction and the centre
+PAIR_11 = [[1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1]]
+
+
+def test_equivalent_text_names_the_invariant(tmp_path, capsys):
+    payload = {"first": {"generators": PAIR_11, "values": ["t", "z", "lam"]},
+               "second": {"generators": PAIR_11, "values": ["t", "z", "mu"]}}
+    rc, out, _ = run(tmp_path, capsys, "equivalent", payload)
+    assert rc == 0
+    assert out == "not equivalent (proved)  (central values differ)\n"
+
+
+def test_equivalent_large_torsion_order_is_fast(tmp_path, capsys):
+    # the central value has order 1000003 and the z values differ by
+    # lambda^1000002: the power solve must not scan the torsion period
+    lam = {"root_of_unity": [1, 1000003]}
+    first = {"generators": PAIR_11,
+             "values": ["t", {"root_of_unity": [1000002, 1000003]}, lam]}
+    second = {"generators": PAIR_11,
+              "values": ["t", {"root_of_unity": [0, 1]}, lam]}
+    for a, b in ((first, second), (second, first)):
+        t0 = time.perf_counter()
+        rc, out, _ = run(tmp_path, capsys, "equivalent",
+                         {"first": a, "second": b}, "--json")
+        assert time.perf_counter() - t0 < 5
+        assert rc == 0
+        assert json.loads(out)["status"] == "equivalent"
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ut4class.__file__)))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import ut4class.cli; print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe, src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_enumerate_contains_known_tuple(tmp_path, capsys):
     rc, out, _ = run(tmp_path, capsys, "enumerate", {"case": [2, 0]},
                      "--json", "--box", "2", "--limit", "10000")
@@ -200,6 +246,17 @@ def test_exit_code_for_malformed_requests(tmp_path, capsys):
     rc, _, err = run(tmp_path, capsys, "ranks",
                      {"command": "classify", "payload": {}})
     assert rc == 2 and "envelope" in err
+
+
+def test_schema_error_matches_jsonschema_validate(tmp_path, capsys):
+    # several violations at once, so the choice of the reported one counts
+    bad = {"generators": [[1, 2, 3], [0, 0, 0, 0, 0, "x"]], "extra": 1}
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(bad, cli._SCHEMAS["ranks"])
+    for _ in range(2):  # the second request reuses the cached validator
+        rc, out, err = run(tmp_path, capsys, "ranks", bad)
+        assert (rc, out) == (2, "")
+        assert err == f"request error: {want.value}\n"
 
 
 def test_exit_code_for_preconditions(tmp_path, capsys):

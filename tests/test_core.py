@@ -8,14 +8,11 @@ import pytest
 from ut4class.core import (
     IDENTITY,
     Elt,
-    central_pairing,
     commutator,
     compose,
-    conj_shift,
     conjugate,
     depth,
     elt,
-    flip,
     from_matrix,
     inverse,
     mat_mul,
@@ -40,8 +37,6 @@ def test_frozen_values():
     assert power(X, -2) == Elt(-2, -4, -6, -2, 8, 15)
     assert commutator(X, Y) == Elt(0, 0, 0, 5, 5, -12)
     assert conjugate(X, Y) == Elt(1, 2, 3, -1, 0, 3)
-    assert flip(X) == Elt(-3, -2, -1, 1, -2, 5)
-    assert flip(Y) == Elt(-4, -1, 2, 7, -2, 12)
 
 
 def test_matrix_roundtrip():
@@ -105,35 +100,3 @@ def test_depth():
     assert depth(elt(c=5)) == 2
     assert depth(IDENTITY) == math.inf
 
-
-def test_flip_is_an_automorphism():
-    rng = random.Random(23)
-    for _ in range(200):
-        u = Elt(*(rng.randint(-4, 4) for _ in range(6)))
-        v = Elt(*(rng.randint(-4, 4) for _ in range(6)))
-        assert flip(compose(u, v)) == compose(flip(u), flip(v))
-        assert flip(flip(u)) == u
-    # flip exchanges the two outer one-parameter columns
-    assert flip(elt(a=1)).f == -1
-    assert flip(elt(f=1)).a == -1
-    assert flip(elt(c=1)) == elt(c=-1)
-
-
-def test_central_pairing_matches_commutator():
-    rng = random.Random(29)
-    for _ in range(300):
-        g = Elt(*(rng.randint(-4, 4) for _ in range(6)))
-        s = elt(b=rng.randint(-4, 4), e=rng.randint(-4, 4), c=rng.randint(-4, 4))
-        com = commutator(g, s)
-        assert com.a == com.d == com.f == com.b == com.e == 0
-        assert com.c == central_pairing(g, s)
-
-
-def test_conj_shift_matches_conjugation():
-    rng = random.Random(31)
-    for _ in range(300):
-        g = Elt(*(rng.randint(-4, 4) for _ in range(6)))
-        t = Elt(*(rng.randint(-4, 4) for _ in range(6)))
-        ct = conjugate(t, g)
-        assert (ct.a, ct.d, ct.f) == (t.a, t.d, t.f)
-        assert (ct.b - t.b, ct.e - t.e) == conj_shift(g, t)

@@ -2,13 +2,8 @@
 
 import itertools
 import random
-from fractions import Fraction
-
-import pytest
 
 from ut4class.intlin import (
-    QuadMap,
-    fit_quadratic,
     hnf,
     hnf_with_transform,
     in_rowspan,
@@ -17,7 +12,6 @@ from ut4class.intlin import (
     lattice_intersect,
     left_kernel,
     row_reduce,
-    same_lattice,
     saturate,
     solve_in_rowspace,
     solve_linear,
@@ -60,7 +54,7 @@ def test_hnf_canonical_form():
         assert row[piv] > 0
         for other in h[:i]:
             assert 0 <= other[piv] < row[piv]
-    assert same_lattice(h, [(2, 4, 4), (6, 6, 12), (10, 4, 16)])
+    assert hnf(h) == h
 
 
 def test_hnf_is_basis_invariant():
@@ -247,33 +241,6 @@ def test_lattice_index():
         assert lattice_index(sup, sub) == d1 * d2
     assert lattice_index([(1, 0), (0, 1)], [(2, 0)]) is None
     assert lattice_index([(1, 0)], [(3, 0)]) == 3
-
-
-def test_fit_quadratic_recovers_binomial_map():
-    def f(v):
-        x, y = v
-        return (x * (x - 1) // 2 + 3 * y, x * y - y, 7)
-
-    checks = [(3, -2), (-4, 5), (6, 6), (-3, -3)]
-    model = fit_quadratic(f, 2, check_vectors=checks)
-    rng = random.Random(37)
-    for _ in range(50):
-        v = (rng.randint(-8, 8), rng.randint(-8, 8))
-        assert model(v) == f(v)
-    assert not model.quad_vanishes()
-
-    def lin_only(v):
-        return (2 * v[0] - v[1],)
-
-    assert fit_quadratic(lin_only, 2, check_vectors=checks).quad_vanishes()
-
-
-def test_fit_quadratic_rejects_cubic():
-    def f(v):
-        return (v[0] ** 3,)
-
-    with pytest.raises(ValueError):
-        fit_quadratic(f, 1, check_vectors=[(3,), (-2,)])
 
 
 def test_transpose():

@@ -7,8 +7,8 @@ import pytest
 from ut4class import cases, classify, oracle
 from ut4class.characters import ONE, character, root_of_unity
 from ut4class.core import elt
-from ut4class.oracle import Ball, SWitness, _power_solutions, _slow_witness
-from ut4class.subgroup import contains, subgroup
+from ut4class.oracle import Ball, SWitness, _slow_witness
+from ut4class.subgroup import WHOLE_GROUP, contains, subgroup
 
 
 def first_valid(ranks, box=(-2, 2)):
@@ -33,21 +33,8 @@ def test_ball_enumeration():
         Ball(-1)
 
 
-def test_power_solutions():
-    w = root_of_unity(1, 6)
-    assert _power_solutions(ONE, w) == (0, 6)
-    assert _power_solutions(w, w) == (5, 6)
-    assert _power_solutions(root_of_unity(1, 4), w) is None
-    lam = first_valid((1, 1))[1].val_c
-    assert _power_solutions(ONE, lam) == (0, 0)
-    assert _power_solutions(lam ** 3, lam) == (-3, 0)
-    assert _power_solutions(lam, lam ** 2) is None  # odd power needed
-    assert _power_solutions(ONE, ONE) == "all"
-    assert _power_solutions(lam, ONE) is None
-
-
 def test_s_set_whole_group_and_centre():
-    G = oracle._WHOLE_GROUP
+    G = WHOLE_GROUP
     out = oracle.s_set_ball(G, 1)
     assert sorted(w.g for w in out) == sorted(Ball(1))
     p, chi = first_valid((1, 1))
@@ -122,7 +109,7 @@ def test_torsion_centre_yields_violation_witness():
 
 
 def test_endo_dimension_whole_group():
-    G = oracle._WHOLE_GROUP
+    G = WHOLE_GROUP
     triv = character(G, (ONE,) * 3, (ONE,) * 2, ONE)
     assert oracle.endo_dimension_finite(G, triv) == 1
 

@@ -10,7 +10,6 @@ from ut4class import intlin
 from ut4class.core import (
     IDENTITY,
     Elt,
-    commutator,
     compose,
     conjugate,
     elt,
@@ -19,10 +18,9 @@ from ut4class.core import (
 )
 from ut4class.subgroup import (
     Subgroup,
-    centralizer,
     conjugate_subgroup,
     contains,
-    coset_rep,
+    decompose,
     index_in,
     intersect,
     isolator,
@@ -139,6 +137,25 @@ def test_contains_closure_properties():
             assert contains(h, inverse(x))
             y = members[rng.randrange(len(members))]
             assert contains(h, compose(x, y))
+
+
+def test_decompose_rebuilds_the_element():
+    rng = random.Random(47)
+    for gens in sample_gen_lists():
+        h = subgroup(gens)
+        for _ in range(15):
+            g = Elt(*[rng.randint(-3, 3) for _ in range(6)])
+            quots, rep = decompose(h, g)
+            assert len(quots) == len(h.generators())
+            x = IDENTITY
+            for q, t in zip(quots, h.generators()):
+                x = compose(x, power(t, q))
+            assert compose(x, rep) == g
+            assert (rep == IDENTITY) == exact_member(h, g)
+
+
+def coset_rep(h, g):
+    return decompose(h, g)[1]
 
 
 def test_coset_rep_is_constant_on_cosets():
@@ -305,29 +322,6 @@ def test_intersect_symmetry():
         b = intersect(k, h)
         if not a.flags and not b.flags:
             assert a == b
-
-
-def test_centralizer_against_commuting_box():
-    for gens in [
-        [elt(a=1), elt(d=1), elt(f=1)],
-        [elt(a=2, b=1)],
-        [elt(d=1)],
-        [elt(b=1), elt(c=2)],
-        [elt(a=1, f=-1, e=2)],
-        [],
-    ]:
-        h = subgroup(gens)
-        c = centralizer(h)
-        hg = h.generators()
-        for g in coord_box(1):
-            commutes = all(commutator(g, t) == IDENTITY for t in hg)
-            assert contains(c, g) == commutes
-
-
-def test_centralizer_of_whole_group_is_centre():
-    g_full = subgroup([elt(a=1), elt(d=1), elt(f=1)])
-    c = centralizer(g_full)
-    assert c == subgroup([elt(c=1)])
 
 
 def test_isolator_contains_and_roots():
