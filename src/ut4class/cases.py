@@ -1121,6 +1121,9 @@ def enumerate_params(ranks, box: tuple[int, int], limit: int | None = None):
 
 
 def _enumerate_structured(ranks, lo: int, hi: int):
+    # the residue coordinates enter the subset conditions only through the
+    # bounds |residue| < |modulus| that the residue ranges already enforce,
+    # so the first tuple of each block of residues decides the whole block
     rng = [x for x in range(lo, hi + 1)]
     nz = [x for x in rng if x]
     out = []
@@ -1129,28 +1132,31 @@ def _enumerate_structured(ranks, lo: int, hi: int):
             for b2, e2 in iproduct(nz, nz):
                 res_b = [x for x in rng if abs(x) < abs(b2)]
                 res_e = [x for x in rng if abs(x) < abs(e2)]
-                for b, e, b1, e1 in iproduct(res_b, res_e, res_b, res_e):
-                    p = (a, f, b, e, d1, f1, b1, e1, b2, e2)
-                    try:
-                        subset_of(ranks, p)
-                    except NoSubsetError:
-                        continue
-                    out.append(p)
+                block = [(a, f, b, e, d1, f1, b1, e1, b2, e2)
+                         for b, e, b1, e1 in iproduct(res_b, res_e,
+                                                      res_b, res_e)]
+                if block and _admissible(ranks, block[0]):
+                    out.extend(block)
     else:  # (3, 2)
         for a, d1, f2 in iproduct(nz, nz, nz):
             for b3 in [x for x in nz if a * d1 % x == 0 and lo <= x <= hi]:
                 for e3 in [x for x in nz if d1 * f2 % x == 0 and lo <= x <= hi]:
                     res_b = [x for x in rng if abs(x) < abs(b3)]
                     res_e = [x for x in rng if abs(x) < abs(e3)]
-                    for b, b1, b2 in iproduct(res_b, repeat=3):
-                        for e, e1, e2 in iproduct(res_e, repeat=3):
-                            p = (a, b, e, d1, b1, e1, f2, b2, e2, b3, e3)
-                            try:
-                                subset_of(ranks, p)
-                            except NoSubsetError:
-                                continue
-                            out.append(p)
+                    block = [(a, b, e, d1, b1, e1, f2, b2, e2, b3, e3)
+                             for b, b1, b2 in iproduct(res_b, repeat=3)
+                             for e, e1, e2 in iproduct(res_e, repeat=3)]
+                    if block and _admissible(ranks, block[0]):
+                        out.extend(block)
     return out
+
+
+def _admissible(ranks, p) -> bool:
+    try:
+        subset_of(ranks, p)
+    except NoSubsetError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import intlin
-from .core import IDENTITY, Elt, conjugate, inverse
+from .core import IDENTITY, Elt, compose, conjugate, inverse, power
 from .subgroup import (
     Subgroup,
     conjugate_subgroup,
@@ -48,7 +48,8 @@ class ValueSymbol:
 def _norm_exps(items) -> tuple[tuple[ValueSymbol, Fraction], ...]:
     acc: dict[str, tuple[ValueSymbol, Fraction]] = {}
     for sym, ex in items:
-        ex = Fraction(ex)
+        if type(ex) is not Fraction:
+            ex = Fraction(ex)
         if sym.name in acc:
             prev_sym, prev = acc[sym.name]
             if prev_sym != sym:
@@ -68,14 +69,28 @@ class UnitValue:
     torsion: Fraction = Fraction(0)
     exps: tuple[tuple[ValueSymbol, Fraction], ...] = ()
 
+    # every constructor leaves exps normalized, so a product with a pure
+    # root of unity, or an integer power, needs no renormalization
     def __mul__(self, other: "UnitValue") -> "UnitValue":
-        return UnitValue((self.torsion + other.torsion) % 1,
-                         _norm_exps(self.exps + other.exps))
+        if not other.exps:
+            exps = self.exps
+        elif not self.exps:
+            exps = other.exps
+        else:
+            exps = _norm_exps(self.exps + other.exps)
+        return UnitValue((self.torsion + other.torsion) % 1, exps)
 
     def __truediv__(self, other: "UnitValue") -> "UnitValue":
-        return self * other ** -1
+        if not other.exps:
+            exps = self.exps
+        else:
+            exps = _norm_exps(self.exps + tuple((s, -e) for s, e in other.exps))
+        return UnitValue((self.torsion - other.torsion) % 1, exps)
 
     def __pow__(self, r) -> "UnitValue":
+        if isinstance(r, int) and r:
+            return UnitValue((self.torsion * r) % 1,
+                             tuple((s, e * r) for s, e in self.exps))
         r = Fraction(r)
         return UnitValue((self.torsion * r) % 1,
                          _norm_exps((s, e * r) for s, e in self.exps))
@@ -177,12 +192,20 @@ def evaluate(chi: Character, g: Elt) -> UnitValue:
     quots, rep = decompose(chi.sub, g)
     if rep != IDENTITY:
         raise ValueError("element outside the character's domain")
-    out = ONE
+    # the product of v ** q over the generators, summed in one pass;
     # zip drops val_c when the domain has no centre part (no quotient)
+    num, den = 0, 1
+    exps: list = []
     for q, v in zip(quots, chi.vals1 + chi.vals2 + (chi.val_c,)):
         if q:
-            out = out * v ** q
-    return out
+            t = v.torsion
+            if t:
+                d = t.denominator
+                num = num * d + q * t.numerator * den
+                den *= d
+            exps.extend((s, e * q) for s, e in v.exps)
+    return UnitValue(Fraction(num % den, den),
+                     _norm_exps(exps) if exps else ())
 
 
 def solve_character(sub: Subgroup, gens: Sequence[Elt],
@@ -280,6 +303,46 @@ def power_solutions(x: UnitValue, y: UnitValue):
     if n is None or not (x * y ** n).is_one:
         return None
     return (n, 0)
+
+
+def level2_gate(h: Subgroup, chi: Character, g0: Elt) -> bool:
+    """Whether chi agrees with its conjugate by g0 on the level-2
+    generators of h.  Conjugation by elt(b=B, e=E) fixes them, so when
+    this fails no g0 * elt(b=B, e=E) agrees."""
+    return all(evaluate(chi, compose(conjugate(s, g0), inverse(s))).is_one
+               for s in h.gens2)
+
+
+def agreement_conditions(h: Subgroup, chi: Character, g0: Elt, coeffs):
+    """When chi agrees with its conjugate by g0 * elt(b=B, e=E) on the
+    level-1 part of its domain, as congruences on (B, E); level2_gate
+    covers the rest.
+
+    h must contain the full centre, and coeffs are the rows of
+    level1_sublattice(h, *g0[:3]).  Conjugating by elt(b=B, e=E) moves
+    an element x by the central power B*x.f - E*x.a, so each row's
+    element k gives one condition ((k.f, -k.a), sol): cb*B + ce*E must
+    be a solution n of rho * lambda**n == 1, rho the ratio chi takes
+    between k's conjugate by g0 and k, with sol as from power_solutions
+    ("all", or (n0, q)).  Returns None when some condition has no
+    solution.
+    """
+    lam = chi.val_c
+    out = []
+    for c in coeffs:
+        k = None
+        for ci, t in zip(c, h.gens1):
+            if ci:
+                term = power(t, ci)
+                k = term if k is None else compose(k, term)
+        if k is None:
+            continue
+        delta = compose(conjugate(k, g0), inverse(k))
+        sol = power_solutions(evaluate(chi, delta), lam)
+        if sol is None:
+            return None
+        out.append(((k.f, -k.a), sol))
+    return out
 
 
 def conjugate_character(chi: Character, g: Elt) -> Character:

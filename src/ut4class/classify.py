@@ -18,26 +18,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import cases, intlin
 from .cases import NoSubsetError
 from .characters import (
     Character,
     ONE,
+    agreement_conditions,
     character,
     conjugate_character,
     evaluate,
+    level2_gate,
     power_solutions,
 )
-from .core import Elt, IDENTITY, compose, conjugate, elt, inverse, power
+from .core import Elt, IDENTITY, compose, elt, inverse, power
 from .subgroup import (
+    ENUMERATION_CAP,
     WHOLE_GROUP,
+    CapacityError,
     Subgroup,
     conjugate_subgroup,
-    contains,
     intersect,
     isolator,
-    transversal,
+    level1_preimage,
+    level1_sublattice,
 )
 
 
@@ -303,16 +308,22 @@ class ClassificationResult:
 
 def is_irreducible(sub: Subgroup, chi: Character) -> ClassificationResult:
     """Decide irreducibility of the induced representation of a pair."""
-    nf = normal_form(sub)
+    return _decide(normal_form(sub), chi)[0]
+
+
+def _decide(nf: NormalForm, chi: Character):
+    """(verdict, case values of the transported character) for a pair
+    whose subgroup has normal form nf; the values are None when the
+    parameters match no admissible subset."""
     try:
         subset = cases.subset_of(nf.ranks, nf.params)
     except NoSubsetError as err:
         return ClassificationResult(
             nf.ranks, None, nf.params, nf.conjugator, False,
-            {"reason": str(err)})
+            {"reason": str(err)}), None
     chi2 = transport_character(nf, chi)
-    cert: dict = {"values": {k: str(v) for k, v in
-                             cases.case_values(nf.ranks, nf.params, chi2).items()}}
+    values = cases.case_values(nf.ranks, nf.params, chi2)
+    cert: dict = {"values": {k: str(v) for k, v in values.items()}}
     if nf.ranks == (3, 2):
         ok, conds = _scan_32(nf, chi2)
         cert["minimality_conditions"] = cases.validity(
@@ -322,43 +333,97 @@ def is_irreducible(sub: Subgroup, chi: Character) -> ClassificationResult:
         ok, conds = cases.validity(nf.ranks, subset, nf.params, chi2)
         cert["conditions"] = conds
     return ClassificationResult(nf.ranks, subset, nf.params, nf.conjugator,
-                                bool(ok), cert)
+                                bool(ok), cert), values
 
 
 def _scan_32(nf: NormalForm, chi: Character):
-    """Exact double-coset agreement scan for the finite-index case."""
+    """Mackey's criterion for the finite-index case: whether chi agrees
+    with its conjugate by t on H meet t^-1 H t, for every right coset H*t
+    outside H, decided one level-1 class at a time.
+
+    The coset representatives are t = g0 * elt(b=B, e=E): g0 the whole
+    group's element over a level-1 residue (A, D, F), and (B, E) a
+    residue modulo the level-2 lattice, in lexicographic order.
+    Conjugation by elt(b=B, e=E) keeps H (which contains the centre) and
+    moves chi by a power of the central value only, so within a class
+    the intersection is fixed and agreement is a set of congruences on
+    (B, E).  Their solutions are a coset of a lattice that contains the
+    level-2 lattice, so they are counted as a lattice index, never
+    listed.
+    """
     sub = nf.sub
-    a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = nf.params
-    index = abs(a * d1 * f2 * b3 * e3)
-    reps = transversal(sub, WHOLE_GROUP)
+    (pa, _, _), (_, pd, _), (_, _, pf) = sub.level1_rows
+    (pb, _), (_, pe) = level2 = sub.level2_rows
+    classes = pa * pd * pf
+    if classes > ENUMERATION_CAP:
+        raise CapacityError(
+            f"the double-coset scan visits a*d'*f'' = {classes} level-1 "
+            f"classes, more than {ENUMERATION_CAP}")
     agreeing = 0
     witness = None
-    for t in reps:
-        if contains(sub, t):
+    for A, D, F in product(range(pa), range(pd), range(pf)):
+        g0 = level1_preimage(WHOLE_GROUP, (A, D, F))
+        if not level2_gate(sub, chi, g0):
             continue
-        dom = intersect(sub, conjugate_subgroup(sub, inverse(t)))
-        if all((evaluate(chi, x) / evaluate(chi, conjugate(x, t))).is_one
-               for x in dom.generators()):
-            agreeing += 1
-            if witness is None:
-                witness = t
+        coeffs, _ = level1_sublattice(sub, A, D, F)
+        conds = agreement_conditions(sub, chi, g0, coeffs)
+        if conds is None:
+            continue
+        found = _agreeing_residues(conds, level2)
+        if found is None:
+            continue
+        first, ((qb, m), (_, qe)) = found
+        count = pb * pe // (qb * qe)
+        if not (A or D or F):
+            # the identity coset lies in H: skip to the next residue
+            if first != (0, 0):
+                raise AssertionError("the identity coset disagrees with "
+                                     "itself")
+            count -= 1
+            first = (0, qe) if qe < pe else (qb, m)
+        agreeing += count
+        if witness is None and count:
+            witness = compose(g0, elt(b=first[0], e=first[1]))
     ok = agreeing == 0
-    conds = {"index": index, "cosets_checked": len(reps),
+    index = classes * pb * pe
+    conds = {"index": index, "cosets_checked": index,
              "agreeing_nontrivial_cosets": agreeing}
     if witness is not None:
         conds["agreement_witness"] = list(witness)
     return ok, conds
 
 
+def _agreeing_residues(conds, level2):
+    """The (B, E) meeting every condition cb*B + ce*E == n0 (mod q) of
+    agreement_conditions (q == 0 asks for equality), as (the least
+    solution in lexicographic order with B, E >= 0, HNF basis of the
+    solution lattice); None when there is none.  The lattice must
+    contain the level-2 lattice, since agreement is a property of the
+    coset."""
+    conds = [(cb, ce, *sol) for (cb, ce), sol in conds if sol != "all"]
+    if conds:
+        rows = [[cb, ce] + [-q if j == i else 0 for j in range(len(conds))]
+                for i, (cb, ce, _, q) in enumerate(conds)]
+        got = intlin.solve_linear(rows, [n0 for _, _, n0, _ in conds])
+        if got is None:
+            return None
+        x0, kernel = got
+        lattice = intlin.hnf([k[:2] for k in kernel])
+    else:
+        x0, lattice = (0, 0), [(1, 0), (0, 1)]
+    if any(any(intlin.row_reduce(lattice, r)[0]) for r in level2):
+        raise AssertionError("the agreeing residues are not a union of "
+                             "cosets of the level-2 lattice")
+    return intlin.row_reduce(lattice, x0[:2])[0], lattice
+
+
 def stratum(sub: Subgroup, chi: Character) -> StratumResult:
     """The unique stratum row carrying an irreducible pair."""
-    res = is_irreducible(sub, chi)
+    nf = normal_form(sub)
+    res, v = _decide(nf, chi)
     if not res.irreducible:
         raise ValueError("the pair is not irreducible; strata parametrize "
                          "irreducible pairs only")
-    nf = normal_form(sub)
-    chi2 = transport_character(nf, chi)
-    v = cases.case_values(nf.ranks, nf.params, chi2)
     rows = cases.strata_table(nf.ranks, res.subset, nf.params, v)
     matched = [r for r, m in rows if m]
     if len(matched) != 1:

@@ -14,13 +14,13 @@ deterministic: the same request always produces the same response.
 
 Exit codes: 0 success, 2 malformed request or command line, 3 unmet
 precondition (inadmissible input, inconsistent values, ambiguous
-numeric lifting), 4 internal inconsistency.
+numeric lifting), 4 internal inconsistency, 5 capacity exceeded (a
+valid request needing more enumeration than the tool's cap).
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -37,7 +37,7 @@ from .characters import (
     symbol_value,
 )
 from .core import Elt
-from .subgroup import isolator, subgroup
+from .subgroup import CapacityError, isolator, subgroup
 
 # ---------------------------------------------------------------- schemas
 
@@ -147,12 +147,55 @@ _SCHEMAS = {
 # ------------------------------------------------------- value construction
 
 
+def _farey_bracket(x: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """The nearest fractions with denominator at most n below and above x
+    (x twice when its own denominator is at most n): the last convergent
+    of x's continued fraction that fits and the largest semiconvergent
+    after it, as in Fraction.limit_denominator."""
+    if x.denominator <= n:
+        return x, x
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = x.numerator, x.denominator
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > n:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (n - q0) // q1
+    semi, conv = Fraction(p0 + k * p1, q0 + k * q1), Fraction(p1, q1)
+    return min(semi, conv), max(semi, conv)
+
+
+def _arc_fractions(center: Fraction, half: Fraction,
+                   n: int) -> list[Fraction]:
+    """The least two fractions of [0, 1) with denominator at most n that
+    lie within `half` of `center` on the circle of turns, in increasing
+    order (two tell one root from several).  Each step is a
+    continued-fraction search, so the cost does not grow with n."""
+    lo = center - half
+    lo -= math.floor(lo)
+    hi = lo + 2 * half
+    # an arc across 0 splits; 1 is 0 again, so the upper piece stops short
+    pieces = [(lo, hi)] if hi < 1 else [(Fraction(0), hi - 1), (lo, 1)]
+    out: list[Fraction] = []
+    for left, right in pieces:
+        x = _farey_bracket(left, n)[1]
+        while x <= right and x < 1 and len(out) < 2:
+            out.append(x)
+            # the next fraction of denominator <= n lies over 1/n^2 above
+            x = _farey_bracket(x + Fraction(1, 2 * n * n), n)[1]
+    return out
+
+
 class _NumericLifter:
     """Lifts decimal re/im pairs to exact unit values.
 
     A value whose modulus sits within the tolerance of 1 is matched
-    against roots of unity with denominator up to q_max; exactly one
-    candidate within the chord tolerance is accepted, several are
+    against the roots of unity with denominator up to q_max: those within
+    the chord tolerance are the fractions of a turn inside an arc around
+    the value's angle.  Exactly one such root is accepted, several are
     refused as ambiguous, none yields a fresh modulus-one symbol.
     Off-circle values get a fresh generic symbol.  Identical literal
     pairs share their symbol, so lifting is deterministic per request.
@@ -174,25 +217,27 @@ class _NumericLifter:
             raise ValueError(f"bad decimal pair ({re_s!r}, {im_s!r})")
         if z == 0:
             raise ValueError("character values must be nonzero")
-        if abs(abs(z) - 1.0) > self.tolerance:
+        r, tol = abs(z), self.tolerance
+        if abs(r - 1.0) > tol:
             self._fresh += 1
             val = symbol_value(ValueSymbol(f"u{self._fresh}", on_circle=False))
         else:
             turns = math.atan2(z.imag, z.real) / (2.0 * math.pi)
-            found: set[Fraction] = set()
-            for q in range(1, self.q_max + 1):
-                p = round(turns * q)
-                w = cmath.exp(2j * math.pi * p / q)
-                if abs(z - w) <= self.tolerance:
-                    found.add(Fraction(p, q) % 1)
+            # |z - w|^2 = (r - 1)^2 + 4 r sin^2(theta / 2) for w on the
+            # unit circle at angle theta from z, so |z - w| <= tol exactly
+            # when theta / 2 <= asin(sqrt((tol^2 - (r - 1)^2) / (4 r)))
+            half = math.asin(math.sqrt(
+                (tol * tol - (r - 1.0) ** 2) / (4.0 * r))) / math.pi
+            found = _arc_fractions(Fraction(turns), Fraction(half),
+                                   self.q_max)
             if len(found) > 1:
-                a, b = sorted(found)[:2]
+                a, b = found
                 raise ValueError(
                     "ambiguous numeric value: within tolerance of the roots "
                     f"of unity {a} and {b} (as fractions of a full turn); "
                     "tighten --tolerance or lower --numeric-q")
             if found:
-                fr = found.pop()
+                fr = found[0]
                 val = root_of_unity(fr.numerator, fr.denominator)
             else:
                 self._fresh += 1
@@ -451,7 +496,11 @@ def _tolerance(text: str) -> float:
     return t
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once: a parser is a web of
+    reference cycles, so one per request would leave garbage that only
+    the cyclic collector frees."""
     ap = argparse.ArgumentParser(
         prog="ut4class",
         description="Classify monomial representations of the group of "
@@ -509,6 +558,9 @@ def main(argv=None) -> int:
     except (RuntimeError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except CapacityError as exc:
+        print(f"capacity exceeded: {exc}", file=sys.stderr)
+        return 5
     except OSError as exc:
         print(f"request error: {exc}", file=sys.stderr)
         return 2

@@ -75,13 +75,32 @@ def power(x: Elt, r: int) -> Elt:
 
 
 def conjugate(x: Elt, h: Elt) -> Elt:
-    """h x h^-1."""
-    return compose(compose(h, x), inverse(h))
+    """h x h^-1 (closed form of the two products)."""
+    a, d, f, b, e, c = x
+    ha, hd, hf, hb, he, _ = h
+    return Elt(
+        a,
+        d,
+        f,
+        b + ha * d - a * hd,
+        e + hd * f - d * hf,
+        c + ha * e + hb * f - a * he - b * hf + (a * hd - ha * d) * hf,
+    )
 
 
 def commutator(x: Elt, y: Elt) -> Elt:
-    """x y x^-1 y^-1."""
-    return compose(compose(x, y), compose(inverse(x), inverse(y)))
+    """x y x^-1 y^-1 (closed form of the three products)."""
+    xa, xd, xf, xb, xe, _ = x
+    ya, yd, yf, yb, ye, _ = y
+    return Elt(
+        0,
+        0,
+        0,
+        xa * yd - xd * ya,
+        xd * yf - xf * yd,
+        xa * ye + xb * yf - xe * ya - xf * yb
+        + (xd * ya - xa * yd) * (xf + yf),
+    )
 
 
 def depth(x: Elt) -> int | float:

@@ -309,23 +309,25 @@ def fit_newton(f: Callable[[Row], Sequence[int]], p: int, deg: int,
         val = tuple(f(()))
         model = NewtonPoly(0, len(val), deg, {(): val})
         return model
-    grid = {}
-    for pt in _box(p, deg):
-        grid[pt] = tuple(f(pt))
-    m = len(next(iter(grid.values())))
-    diffs = {}
-    for alpha in _box(p, deg):
-        acc = [0] * m
-        for beta in _sub_multi(alpha):
-            sign = (-1) ** (sum(alpha) - sum(beta))
-            w = 1
-            for ai, bi in zip(alpha, beta):
-                w *= math.comb(ai, bi)
-            val = grid[beta]
-            for t in range(m):
-                acc[t] += sign * w * val[t]
-        if any(acc):
-            diffs[alpha] = tuple(acc)
+    pts = _box(p, deg)
+    # grid values in lexicographic order, so the last coordinate varies
+    # fastest; D_alpha is the alpha-th forward difference at 0, taken one
+    # axis at a time in place
+    vals = [list(f(pt)) for pt in pts]
+    m = len(vals[0])
+    n = deg + 1
+    for axis in range(p):
+        step = n ** (p - 1 - axis)
+        for start in range(len(vals)):
+            if (start // step) % n:
+                continue
+            line = [vals[start + j * step] for j in range(n)]
+            for k in range(1, n):
+                for j in range(deg, k - 1, -1):
+                    hi, lo = line[j], line[j - 1]
+                    for t in range(m):
+                        hi[t] -= lo[t]
+    diffs = {alpha: tuple(v) for alpha, v in zip(pts, vals) if any(v)}
     model = NewtonPoly(p, m, deg, diffs)
     for v in verify_points:
         if model(v) != tuple(f(v)):
@@ -339,11 +341,3 @@ def _box(p: int, deg: int):
     for r in ranges:
         out = [pt + (v,) for pt in out for v in r]
     return out
-
-
-def _sub_multi(alpha):
-    out = [()]
-    for a in alpha:
-        out = [pt + (v,) for pt in out for v in range(a + 1)]
-    return out
-

@@ -10,14 +10,15 @@ Nothing in this module trusts a tabulated closed form.
 import itertools
 from dataclasses import dataclass
 
-from . import cases, intlin
+from . import cases
 from .characters import (
     Character,
+    agreement_conditions,
     conjugate_character,
     evaluate,
-    power_solutions,
+    level2_gate,
 )
-from .core import Elt, compose, conjugate, elt, inverse, power
+from .core import Elt, compose, conjugate, elt, inverse
 from .subgroup import (
     WHOLE_GROUP,
     Subgroup,
@@ -25,6 +26,7 @@ from .subgroup import (
     contains,
     decompose,
     intersect,
+    level1_sublattice,
     transversal,
 )
 
@@ -67,46 +69,6 @@ class SWitness:
             "intersection": self.intersection.summary(),
             "character_check": [dict(c) for c in self.character_check],
         }
-
-
-def _level1_sublattice(H: Subgroup, A: int, D: int, F: int):
-    """Coefficient rows (over the level-1 generators) of the directions
-    whose conjugation shift stays inside the level-2 lattice."""
-    V = [(r.a, r.d, r.f) for r in H.gens1]
-    if not V:
-        return [], True
-    rows = [[A * v[1] - v[0] * D, D * v[2] - v[1] * F] for v in V]
-    l2 = [[s.b, s.e] for s in H.gens2]
-    kern = intlin.left_kernel(rows + l2)
-    coeffs = [k[:len(V)] for k in kern]
-    coeffs = [c for c in intlin.hnf(coeffs) if any(c)]
-    return coeffs, len(coeffs) == len(V)
-
-
-def _chi_class_data(H: Subgroup, chi: Character, g0: Elt, coeffs):
-    """Per-class agreement data: None when the level-2 gate fails, else a
-    list of (row coefficients in the grid form, solution set)."""
-    lam = chi.val_c
-    for s in H.gens2:
-        delta = compose(conjugate(s, g0), inverse(s))
-        if not evaluate(chi, delta).is_one:
-            return None
-    out = []
-    for c in coeffs:
-        k = None
-        for ci, h in zip(c, H.gens1):
-            if ci:
-                term = power(h, ci)
-                k = term if k is None else compose(k, term)
-        if k is None:
-            continue
-        delta = compose(conjugate(k, g0), inverse(k))
-        rho = evaluate(chi, delta)
-        sol = power_solutions(rho, lam)
-        if sol is None:
-            return None
-        out.append(((k.f, -k.a), sol))
-    return out
 
 
 def _grid_points(rows, radius: int) -> list[tuple[int, int]]:
@@ -160,26 +122,31 @@ def _s_ball(H: Subgroup, chi, radius: int, outside_only: bool,
     cs = list(rng)
     for A, D, F in itertools.product(rng, repeat=3):
         g0 = elt(a=A, d=D, f=F)
-        coeffs, full = _level1_sublattice(H, A, D, F)
+        coeffs, full = level1_sublattice(H, A, D, F)
         if not full:
             continue
         if chi is None:
             rows = []
         else:
-            rows = _chi_class_data(H, chi, g0, coeffs)
+            if not level2_gate(H, chi, g0):
+                continue
+            rows = agreement_conditions(H, chi, g0, coeffs)
             if rows is None:
                 continue
         dom = None
         for B, E in _grid_points(rows, radius):
+            # conjugation by g does not see the central coordinate c, so
+            # the character record is one per (B, E)
+            rec = None
             for c in cs:
                 g = Elt(A, D, F, B, E, c)
                 if outside_only and contains(H, g):
                     continue
                 if dom is None:
                     dom = intersect(conjugate_subgroup(H, g0), H)
-                rec = ()
-                if chi is not None and with_records:
-                    rec = _character_record(chi, g, dom)
+                if rec is None:
+                    rec = (_character_record(chi, g, dom)
+                           if chi is not None and with_records else ())
                 kind = "in_S_of_H" if chi is None else "in_S_of_H_chi"
                 out.append(SWitness(g, kind, dom, rec))
                 if limit is not None and len(out) >= limit:

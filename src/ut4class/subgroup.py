@@ -12,6 +12,10 @@ All computations are exact.  The few operations whose general case
 needs a search (certain intersections of pathological inputs) mark their
 result with a flag instead of guessing; every classification-facing call
 stays on the exact paths.  Flags do not take part in equality.
+
+``ENUMERATION_CAP`` bounds the enumerations whose length the input
+controls.  Past it ``transversal`` raises ``CapacityError`` (the input is
+valid; the tool declines the work) and ``isolator`` flags its result.
 """
 
 from __future__ import annotations
@@ -34,6 +38,14 @@ from .core import (
     inverse,
     power,
 )
+
+
+ENUMERATION_CAP = 200000
+
+
+class CapacityError(Exception):
+    """The request is valid but needs more than ENUMERATION_CAP items
+    enumerated."""
 
 
 def _first_nz(v) -> int | None:
@@ -71,6 +83,9 @@ class Subgroup:
     gens2: tuple[Elt, ...]
     c0: int
     flags: tuple[str, ...] = field(default=(), compare=False)
+    # derived_subgroup's memo, set once with object.__setattr__
+    _derived: Subgroup | None = field(default=None, init=False,
+                                      compare=False, hash=False, repr=False)
 
     @property
     def level1_rows(self) -> list[tuple[int, int, int]]:
@@ -254,13 +269,26 @@ def _walk(gens: Iterable[Elt], g: Elt) -> tuple[list[int], Elt]:
     """Floor-divide g along echelon generators, left to right, each on its
     first nonzero coordinate: (one quotient per generator, what is left)."""
     quots = []
+    g = list(g)
     for t in gens:
         j = _first_nz(t)
         q = g[j] // t[j]
         quots.append(q)
         if q:
-            g = compose(power(t, -q), g)
-    return quots, g
+            # g <- power(t, -q) * g, both closed forms of core written out
+            # on plain ints: this loop is the innermost one of membership
+            ta, td, tf, tb, te, tc = t
+            a, d, f, b, e, c = g
+            r = -q
+            r2 = r * (r - 1) // 2
+            pa, pd = r * ta, r * td
+            pb = r * tb + r2 * ta * td
+            g = [pa + a, pd + d, r * tf + f, pb + b + pa * d,
+                 r * te + r2 * td * tf + e + pd * f,
+                 r * tc + r2 * (ta * te + tb * tf)
+                 + r * (r - 1) * (r - 2) // 6 * ta * td * tf
+                 + c + pa * e + pb * f]
+    return quots, Elt(*g)
 
 
 def decompose(h: Subgroup, g: Elt) -> tuple[list[int], Elt]:
@@ -274,7 +302,7 @@ def decompose(h: Subgroup, g: Elt) -> tuple[list[int], Elt]:
     if h.c0:
         q = g.c // h.c0
         quots.append(q)
-        g = g._replace(c=g.c - q * h.c0)
+        g = Elt(g.a, g.d, g.f, g.b, g.e, g.c - q * h.c0)
     return quots, g
 
 
@@ -293,8 +321,27 @@ def level1_preimage(h: Subgroup, v: Sequence[int]) -> Elt:
     return Elt(a, d, f, -r.b, -r.e, -r.c - a * r.e)
 
 
+def level1_sublattice(h: Subgroup, A: int, D: int, F: int):
+    """Coefficient rows (over the level-1 generators) of the elements of h
+    that conjugation by a level-1 part (A, D, F) keeps inside h: their
+    conjugation shift of (b, e) must lie in the level-2 lattice.
+    Returns (HNF rows, whether they have full rank)."""
+    V = h.level1_rows
+    if not V:
+        return [], True
+    rows = [[A * v[1] - v[0] * D, D * v[2] - v[1] * F] for v in V]
+    # a left-kernel basis of the shifts over the level-2 rows, projected
+    kern = intlin.hnf_with_transform(
+        rows + [list(r) for r in h.level2_rows])[2]
+    coeffs = intlin.hnf([k[:len(V)] for k in kern])
+    return coeffs, len(coeffs) == len(V)
+
+
 def derived_subgroup(h: Subgroup) -> Subgroup:
-    """Canonical form of the commutator subgroup [h, h]."""
+    """Canonical form of the commutator subgroup [h, h], computed once
+    per Subgroup value and kept on it."""
+    if h._derived is not None:
+        return h._derived
     gens = h.generators()
     pairs = []
     for i in range(len(gens)):
@@ -305,8 +352,10 @@ def derived_subgroup(h: Subgroup) -> Subgroup:
     # normal closure needs the conjugation corrections, which in this
     # group are central triple commutators
     triples = [commutator(c, g) for c in pairs for g in gens]
-    return subgroup(pairs + [t for t in triples if t != IDENTITY],
-                    flags=h.flags)
+    out = subgroup(pairs + [t for t in triples if t != IDENTITY],
+                   flags=h.flags)
+    object.__setattr__(h, "_derived", out)
+    return out
 
 
 def conjugate_subgroup(h: Subgroup, g: Elt) -> Subgroup:
@@ -328,13 +377,14 @@ def index_in(sub: Subgroup, sup: Subgroup) -> int | float:
     return i1 * i2
 
 
-def transversal(h: Subgroup, k: Subgroup, max_size: int = 200000) -> list[Elt]:
+def transversal(h: Subgroup, k: Subgroup,
+                max_size: int = ENUMERATION_CAP) -> list[Elt]:
     """Representatives of the right cosets of h inside k (finite index)."""
     idx = index_in(h, k)
     if idx == math.inf:
         raise ValueError("infinite index")
     if idx > max_size:
-        raise ValueError("index too large to enumerate")
+        raise CapacityError("index too large to enumerate")
     reps1 = [IDENTITY]
     if k.gens1:
         t_rows = [intlin.solve_in_rowspace(k.level1_rows, r) for r in h.level1_rows]
@@ -525,7 +575,7 @@ def _order_mod(x: Sequence[int], rows: Sequence[Sequence[int]], bound: int) -> i
     raise AssertionError("order must divide the lattice index")
 
 
-def isolator(h: Subgroup, enum_cap: int = 200000) -> Subgroup:
+def isolator(h: Subgroup, enum_cap: int = ENUMERATION_CAP) -> Subgroup:
     """Canonical form of the set of elements with a positive power in h.
 
     For this group the set is a subgroup; the computation is exact (the

@@ -1,21 +1,30 @@
 """Classification pipeline: normal forms, irreducibility, strata, equivalence."""
 
 import random
+import time
 
 import pytest
 
-from ut4class import cases, classify
+from ut4class import cases, classify, oracle
 from ut4class.cases import NoSubsetError
 from ut4class.characters import (
+    ONE,
     ValueSymbol,
+    character,
     conjugate_character,
     evaluate,
     root_of_unity,
     symbol_value,
 )
 from ut4class.classify import CaseStructureError
-from ut4class.core import IDENTITY, elt, inverse
-from ut4class.subgroup import conjugate_subgroup, isolator, subgroup
+from ut4class.core import IDENTITY, Elt, conjugate, elt, inverse
+from ut4class.subgroup import (
+    conjugate_subgroup,
+    contains,
+    intersect,
+    isolator,
+    subgroup,
+)
 
 
 def admissible_params(ranks, box, limit=4000):
@@ -204,6 +213,60 @@ def test_scan_32_certificates():
         if ran >= 6:
             break
     assert ran > 0
+
+
+def assert_mackey_witness(sub, chi, t):
+    """t lies outside H, and chi agrees with its conjugate by t on the
+    generators of H meet t^-1 H t, computed by the generic intersection."""
+    assert not contains(sub, t)
+    dom = intersect(sub, conjugate_subgroup(sub, inverse(t)))
+    for x in dom.generators():
+        assert (evaluate(chi, x) / evaluate(chi, conjugate(x, t))).is_one
+
+
+def test_scan_32_matches_the_coset_oracle():
+    # every valid sample character on about 200 strided box-2 tuples: the
+    # scan by level-1 class agrees with full coset enumeration, and each
+    # reducible verdict's witness passes an independent re-check
+    allp = cases.enumerate_params((3, 2), (-2, 2))
+    seen = {True: 0, False: 0}
+    for p in allp[::len(allp) // 200][:200]:
+        ss = cases.subset_of((3, 2), p)
+        for chi in cases.character_samples((3, 2), ss, p):
+            if not chi.is_valid():
+                continue
+            res = classify.is_irreducible(chi.sub, chi)
+            dim = oracle.endo_dimension_finite(chi.sub, chi)
+            assert res.irreducible == (dim == 1), (p, dim)
+            seen[res.irreducible] += 1
+            if not res.irreducible:
+                nf = classify.normal_form(chi.sub)
+                t = Elt(*res.certificate["double_coset_scan"]
+                        ["agreement_witness"])
+                assert_mackey_witness(
+                    nf.sub, classify.transport_character(nf, chi), t)
+    assert seen[True] >= 20 and seen[False] >= 20, seen
+
+
+@pytest.mark.parametrize("params, index, seconds", [
+    ((12, 0, 0, 12, 0, 0, 12, 0, 0, 12, 12), 248832, 10),
+    ((4, 0, 0, 25, 0, 0, 4, 0, 0, 100, 100), 4000000, 1),
+])
+def test_scan_32_large_index_trivial_character(params, index, seconds):
+    # e = 1 lies outside H, normalizes it and fixes the trivial character;
+    # the (B, E) residues of a class are counted, never listed, so index
+    # 4,000,000 over 400 level-1 classes takes well under a second
+    sub = cases.build_subgroup((3, 2), params)
+    triv = character(sub, (ONE,) * 3, (ONE,) * 2, ONE)
+    t0 = time.perf_counter()
+    res = classify.is_irreducible(sub, triv)
+    assert time.perf_counter() - t0 < seconds
+    assert res.irreducible is False
+    scan = res.certificate["double_coset_scan"]
+    assert scan["index"] == scan["cosets_checked"] == index
+    assert scan["agreeing_nontrivial_cosets"] == index - 1
+    assert scan["agreement_witness"] == [0, 0, 0, 0, 1, 0]
+    assert_mackey_witness(sub, triv, elt(e=1))
 
 
 def test_stratum_unique_row_per_pair():

@@ -4,9 +4,11 @@ import cmath
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -113,6 +115,88 @@ def test_numeric_lifting_ambiguity_refused(tmp_path, capsys):
     assert "ambiguous" in err
 
 
+def scan_lift(z, q_max, tol):
+    """The lifting rule as a scan over every denominator q <= q_max of the
+    nearest fraction p/q, tested on the chord: ("root", turns),
+    ("ambiguous", first, second), "free" or "off"."""
+    if abs(abs(z) - 1.0) > tol:
+        return "off"
+    turns = math.atan2(z.imag, z.real) / (2.0 * math.pi)
+    found = set()
+    for q in range(1, q_max + 1):
+        p = round(turns * q)
+        if abs(z - cmath.exp(2j * math.pi * p / q)) <= tol:
+            found.add(Fraction(p, q) % 1)
+    if len(found) > 1:
+        return ("ambiguous", *sorted(found)[:2])
+    return ("root", found.pop()) if found else "free"
+
+
+def arc_lift(z, q_max, tol):
+    """The same outcome read off _NumericLifter."""
+    try:
+        v = cli._NumericLifter(q_max, tol).lift(repr(z.real), repr(z.imag))
+    except ValueError as exc:
+        names = str(exc).split("roots of unity ")[1].split(" (as")[0]
+        return ("ambiguous", *map(Fraction, names.split(" and ")))
+    kind = v.modulus_class()
+    if kind == "torsion":
+        return ("root", v.torsion)
+    return "off" if kind == "off_circle" else "free"
+
+
+def test_numeric_lifting_matches_the_denominator_scan():
+    # while q_max * tol < pi at most one fraction per denominator fits in
+    # the arc, so the arc search and the scan over every q <= q_max must
+    # agree: same lifted value, same two fractions named as ambiguous
+    rng = random.Random(5)
+    seen = set()
+    for tol in (1e-9, 1e-6, 1e-4, 1e-3):
+        for q_max in (1, 2, 7, 12, 120, 1000):
+            if q_max * tol >= 1:
+                continue
+            half = tol / (2 * math.pi)
+            angles = [0.0, 0.5, -0.5, 1e-12, -1e-12, rng.random()]
+            for _ in range(8):
+                q = rng.randint(1, 150)
+                base = rng.randrange(q) / q
+                angles += [base, base + rng.uniform(-0.3, 0.3) * half,
+                           base + rng.choice((-1, 1)) * half
+                           * rng.uniform(0.9, 1.1)]
+                q2 = rng.randint(2, 150)
+                angles.append((base + rng.randrange(q2) / q2) / 2)
+            for t in angles:
+                for radius in (1.0, 1.0 + tol / 2, 1.0 - 0.9 * tol,
+                               1.0 + 2 * tol):
+                    z = radius * cmath.exp(2j * math.pi * t)
+                    want = scan_lift(z, q_max, tol)
+                    assert arc_lift(z, q_max, tol) == want, (tol, q_max, t)
+                    seen.add(want if isinstance(want, str) else want[0])
+    assert seen == {"root", "ambiguous", "free", "off"}
+
+
+def test_numeric_lifting_counts_every_root_in_the_arc():
+    # with q_max * tol beyond pi a denominator can hold several fractions
+    # of the arc; a scan of the nearest one per denominator sees only 0
+    # here, yet zeta(1/10000) lies within 6.3e-4 of 1 as well
+    assert scan_lift(1 + 0j, 10000, 1e-3) == ("root", 0)
+    with pytest.raises(ValueError, match="roots of unity 0 and 1/10000 "):
+        cli._NumericLifter(10000, 1e-3).lift("1.0", "0.0")
+
+
+def test_numeric_lifting_large_bound_is_fast(tmp_path, capsys):
+    z = cmath.exp(2j * math.pi / 6)
+    payload = {"generators": rows_for((1, 1), (1, 0, 1, 0, 0)),
+               "values": ["t", "z", {"numeric": [repr(z.real),
+                                                 repr(z.imag)]}]}
+    t0 = time.perf_counter()
+    rc, out, _ = run(tmp_path, capsys, "classify", payload,
+                     "--numeric-q", "100000000", "--json")
+    assert time.perf_counter() - t0 < 1
+    assert rc == 0
+    assert json.loads(out)["certificate"]["values"]["lambda"] == "zeta(1/6)"
+
+
 def test_stratum_numeric_central_value_off_circle(tmp_path, capsys):
     payload = {"generators": rows_for((1, 1), (1, 0, 1, 0, 0)),
                "values": ["t", "z", {"numeric": ["0.5", "0"]}]}
@@ -190,6 +274,32 @@ def test_equivalent_large_torsion_order_is_fast(tmp_path, capsys):
         assert time.perf_counter() - t0 < 5
         assert rc == 0
         assert json.loads(out)["status"] == "equivalent"
+
+
+def trivial_32(params):
+    rows = rows_for((3, 2), params)
+    return {"generators": rows,
+            "values": [{"root_of_unity": [0, 1]}] * len(rows)}
+
+
+def test_irreducible_beyond_the_former_coset_cap(tmp_path, capsys):
+    # index 12^5 = 248,832 over 1,728 level-1 classes; e = 1 lies outside
+    # H, normalizes it and fixes the trivial character
+    payload = trivial_32((12, 0, 0, 12, 0, 0, 12, 0, 0, 12, 12))
+    rc, out, err = run(tmp_path, capsys, "irreducible", payload, "--json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["irreducible"] is False
+
+
+def test_capacity_exceeded_has_its_own_exit_code(tmp_path, capsys):
+    # 101 * 101 * 20 = 204,020 level-1 classes, over the 200,000 cap
+    payload = trivial_32((101, 0, 0, 101, 0, 0, 20, 0, 0, 1, 1))
+    t0 = time.perf_counter()
+    rc, out, err = run(tmp_path, capsys, "irreducible", payload)
+    assert time.perf_counter() - t0 < 5
+    assert (rc, out) == (5, "")
+    assert err.startswith("capacity exceeded: ")
+    assert "204020 level-1 classes" in err
 
 
 def test_cli_import_leaves_numpy_out():

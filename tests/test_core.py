@@ -39,6 +39,22 @@ def test_frozen_values():
     assert conjugate(X, Y) == Elt(1, 2, 3, -1, 0, 3)
 
 
+def test_closed_forms_match_matrix_products():
+    # conjugate and commutator are written out in closed form; pin them
+    # against the literal products of matrices
+    rng = random.Random(20261018)
+
+    def rand():
+        return Elt(*[rng.randint(-9, 9) for _ in range(6)])
+
+    for _ in range(2000):
+        x, h = rand(), rand()
+        assert conjugate(x, h) == oracle_compose(
+            oracle_compose(h, x), inverse(h))
+        assert commutator(x, h) == oracle_compose(
+            oracle_compose(x, h), oracle_compose(inverse(x), inverse(h)))
+
+
 def test_matrix_roundtrip():
     assert from_matrix(to_matrix(X)) == X
     with pytest.raises(ValueError):

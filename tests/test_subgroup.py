@@ -1,5 +1,6 @@
 """Subgroup canonical forms checked against brute-force enumeration."""
 
+import dataclasses
 import math
 import random
 from itertools import product as iproduct
@@ -10,6 +11,7 @@ from ut4class import intlin
 from ut4class.core import (
     IDENTITY,
     Elt,
+    commutator,
     compose,
     conjugate,
     elt,
@@ -17,10 +19,12 @@ from ut4class.core import (
     power,
 )
 from ut4class.subgroup import (
+    CapacityError,
     Subgroup,
     conjugate_subgroup,
     contains,
     decompose,
+    derived_subgroup,
     index_in,
     intersect,
     isolator,
@@ -225,6 +229,31 @@ def test_index_and_transversal():
     assert index_in(subgroup([elt(a=1)]), g_full) == math.inf
     with pytest.raises(ValueError):
         index_in(subgroup([elt(a=1, b=1)]), subgroup([elt(a=1)]))
+
+
+def test_transversal_refuses_beyond_the_cap_as_capacity():
+    g_full = subgroup([elt(a=1), elt(d=1), elt(f=1)])
+    h = subgroup([elt(a=2), elt(d=3), elt(f=1)])
+    with pytest.raises(CapacityError, match="index too large"):
+        transversal(h, g_full, max_size=index_in(h, g_full) - 1)
+
+
+def test_derived_subgroup_memo_keeps_equality_and_hash():
+    for gens in sample_gen_lists():
+        h = subgroup(gens)
+        twin = subgroup(gens)
+        before = hash(h)
+        d = derived_subgroup(h)
+        assert derived_subgroup(h) is d
+        # the memo takes no part in equality, hashing or repr
+        assert hash(h) == before == hash(twin)
+        assert h == twin and repr(h) == repr(twin)
+        # a fresh value of the same subgroup computes it anew, equally
+        fresh = dataclasses.replace(h)
+        assert fresh._derived is None
+        assert derived_subgroup(fresh) == d
+        assert all(contains(d, commutator(x, y))
+                   for x in h.generators() for y in h.generators())
 
 
 def test_transversal_within_gamma1():
