@@ -4,10 +4,12 @@ A weight pair is a subgroup of the unitriangular group together with a
 character of it.  The classification is organized by the rank pair
 (r1, r2) of the subgroup: r1 is the rank of its image modulo the derived
 span, r2 the rank of the level-2 layer modulo the centre.  Six rank
-pairs support irreducible pairs; each comes with
+pairs support irreducible pairs.  Each has one ``RankCase`` record in the
+table ``CASES``, which holds
 
   * a parameter shape: an integer tuple describing a canonical subgroup
-    (``build_subgroup``) with ordered defining generators,
+    (``build_subgroup``) with ordered defining generators, and the reader
+    of that tuple off a residue-canonical subgroup (``RankCase.shape``),
   * a partition of the admissible tuples into subsets by degeneration
     pattern (``subset_of``),
   * irreducibility conditions on the character (``validity``),
@@ -19,18 +21,20 @@ pairs support irreducible pairs; each comes with
     root/residue replacement candidates (``conjugation_move``,
     ``f_move_candidates``).
 
-Everything is exact; characters take values in the symbolic unit group
-of :mod:`.characters`.
+The module functions named above look the rank pair's record up and apply
+its rules.  Everything is exact; characters take values in the
+symbolic unit group of :mod:`.characters`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
-from typing import Iterable
+from itertools import islice, product as iproduct
 
+from . import intlin
 from .core import Elt, commutator, elt
 from .characters import (
     Character,
@@ -44,48 +48,17 @@ from .characters import (
 )
 from .subgroup import Subgroup, subgroup
 
-RANK_PAIRS = ((1, 1), (2, 0), (2, 1), (1, 2), (2, 2), (3, 2))
-
-SUBSETS = {
-    (1, 1): ("S1", "S2", "S3", "S4", "N1", "N2"),
-    (2, 0): ("S",),
-    (2, 1): ("S1", "S2"),
-    (1, 2): ("S1", "S2", "S3", "A"),
-    (2, 2): ("S1", "S2", "S3", "S4"),
-    (3, 2): ("S",),
-}
-
-PARAM_LENGTH = {
-    (1, 1): 5,
-    (2, 0): 6,
-    (2, 1): 4,
-    (1, 2): 7,
-    (2, 2): 10,
-    (3, 2): 11,
-}
-
-# value coordinates of the defining generators, in order; the central
-# value is always called "lambda"
-COORD_NAMES = {
-    (1, 1): ("t", "z"),
-    (2, 0): ("t", "s"),
-    (2, 1): ("t", "r", "z"),
-    (1, 2): ("t", "z", "w"),
-    (2, 2): ("t", "s", "z", "w"),
-    (3, 2): ("t", "r", "s", "z", "w"),
-}
-
 
 class NoSubsetError(ValueError):
     """Raised when a parameter tuple belongs to no admissible subset."""
 
 
-def _gcd(*xs: int) -> int:
-    return math.gcd(*[abs(x) for x in xs])
+class CaseStructureError(ValueError):
+    """Subgroup has feasible ranks but sits outside the parametrized
+    families (raised with the message "violates case structure")."""
 
 
-def _lcm(*xs: int) -> int:
-    return math.lcm(*[abs(x) for x in xs])
+_gcd, _lcm = math.gcd, math.lcm  # both nonnegative for any signs
 
 
 def _div(x: int, y: int) -> int:
@@ -96,13 +69,15 @@ def _div(x: int, y: int) -> int:
     return q
 
 
-def _check_length(ranks: tuple[int, int], params: Iterable[int]) -> tuple[int, ...]:
-    params = tuple(int(x) for x in params)
-    want = PARAM_LENGTH[ranks]
-    if len(params) != want:
-        raise ValueError(
-            f"rank pair {ranks} takes {want} parameters, got {len(params)}")
-    return params
+def _quot(x: int, y: int) -> int:
+    # a derived quotient, exact on admissible tuples; parsing meets the
+    # others too, whose derived integers no rule reads
+    return x // y if y else 0
+
+
+def _order(x: int, m: int) -> int:
+    """Order of x modulo m, |m| / gcd(x, m); 0 when m is 0."""
+    return abs(m) // _gcd(x, m) if m else 0
 
 
 # ---------------------------------------------------------------------------
@@ -196,36 +171,105 @@ _LAM_CIRC = _cstar("circle_nontorsion")
 
 
 # ---------------------------------------------------------------------------
-# defining generators and canonical subgroups
+# the table record
+
+
+@dataclass(frozen=True)
+class RankCase:
+    """One rank pair's row of the classification table.
+
+    The fields are the parameter names and the value names of the
+    defining generators.  The rules are methods of one subclass per rank
+    pair; each takes the parsed parameters q first (see ``parse``):
+
+      * ``generators(q)``: the ordered defining generators,
+      * ``shape(moved, canon)``: the parameters of a residue-canonical
+        subgroup with canonical level-2 residues canon, read off its
+        lattices; CaseStructureError when its shape is not the case's,
+      * ``subset(q)``: the subset label, or NoSubsetError,
+      * ``conditions(q, subset, values, chi)``: the irreducibility
+        conditions,
+      * ``normalizer(q, subset)``: generators of the normalizer,
+      * ``strata(q, subset, values)``: (fibers, matched, selector) rows,
+      * ``samples(q, subset)``: value assignments for character samples,
+
+    and the rules defined here, whose answers are those of a rank pair
+    without such a rule.
+    """
+
+    ranks: tuple[int, int]
+    names: tuple[str, ...]   # parameter names, in tuple order
+    coords: tuple[str, ...]  # value names; the central one is "lambda"
+
+    scanned = False  # irreducibility is decided by the finite-index scan
+
+    def parse(self, params):
+        """The named parameters plus the case's derived integers."""
+        p = tuple(map(int, params))
+        if len(p) != len(self.names):
+            raise ValueError(f"rank pair {self.ranks} takes {len(self.names)} "
+                             f"parameters, got {len(p)}")
+        return self.derive(*p)
+
+    def derive(self, *p):
+        # derived integers are read only for admissible tuples; the
+        # formulas give some value for every tuple, since parse meets all
+        return self.Params(*p)
+
+    def admissible(self, p) -> bool:
+        try:
+            self.subset(self.derive(*p))
+        except NoSubsetError:
+            return False
+        return True
+
+    def enumerate(self, lo: int, hi: int) -> list:
+        """The admissible tuples in the box, in lexicographic order."""
+        return [p for p in iproduct(range(lo, hi + 1), repeat=len(self.names))
+                if self.admissible(p)]
+
+    def action(self, q, subset: str, gi: int, v: dict):
+        return None  # computed from first principles
+
+    def printed(self, q, subset: str, gi: int, v: dict):
+        return None
+
+    def relations(self, q, subset: str, gens: list[Elt]) -> list:
+        return []
+
+    def central_orders(self, q, bound: int) -> list[int]:
+        raise ValueError("central orders are parameter-determined only for "
+                         "the two level-2-saturated cases")
+
+    def conjugation(self, q, shift: int):
+        raise ValueError(
+            "the tabulated residue-shifting move exists for rank pairs "
+            "(1,1), (2,0) and (2,1) only")
+
+    def f_moves(self, q, subset: str, vals: dict):
+        return iter(())
+
+
+def _case(ranks) -> RankCase:
+    try:
+        return CASES[ranks]
+    except KeyError:
+        raise ValueError(f"unknown rank pair {ranks}") from None
+
+
+def _parsed(ranks, params):
+    case = _case(ranks)
+    return case, case.parse(params)
+
+
+# ---------------------------------------------------------------------------
+# the public functions: one table lookup each
 
 
 def defining_generators(ranks: tuple[int, int], params) -> list[Elt]:
     """Ordered non-central generators of the canonical subgroup."""
-    p = _check_length(ranks, params)
-    if ranks == (1, 1):
-        a, d, f, b, e = p
-        if (a, f) == (0, 0):
-            raise NoSubsetError("no subset: requires (a, f) != (0, 0)")
-        n = _gcd(a, f)
-        return [elt(a=a, d=d, f=f, b=b, e=e), elt(b=a // n, e=f // n)]
-    if ranks == (2, 0):
-        a, b, e, f1, b1, e1 = p
-        return [elt(a=a, b=b, e=e), elt(f=f1, b=b1, e=e1)]
-    if ranks == (2, 1):
-        a, e, d1, e1 = p
-        return [elt(a=a, e=e), elt(d=d1, e=e1), elt(b=1)]
-    if ranks == (1, 2):
-        a, d, f, b, e, b1, e1 = p
-        return [elt(a=a, d=d, f=f, b=b, e=e), elt(b=b1), elt(e=e1)]
-    if ranks == (2, 2):
-        a, f, b, e, d1, f1, b1, e1, b2, e2 = p
-        return [elt(a=a, f=f, b=b, e=e), elt(d=d1, f=f1, b=b1, e=e1),
-                elt(b=b2), elt(e=e2)]
-    if ranks == (3, 2):
-        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = p
-        return [elt(a=a, b=b, e=e), elt(d=d1, b=b1, e=e1),
-                elt(f=f2, b=b2, e=e2), elt(b=b3), elt(e=e3)]
-    raise ValueError(f"unknown rank pair {ranks}")
+    case, q = _parsed(ranks, params)
+    return case.generators(q)
 
 
 def build_subgroup(ranks: tuple[int, int], params) -> Subgroup:
@@ -235,181 +279,185 @@ def build_subgroup(ranks: tuple[int, int], params) -> Subgroup:
 
 def case_values(ranks: tuple[int, int], params, chi: Character) -> dict[str, UnitValue]:
     """Character values on the defining generators plus the centre."""
+    return _values(*_parsed(ranks, params), chi)
+
+
+def _values(case: RankCase, q, chi: Character) -> dict[str, UnitValue]:
     if chi.sub.c0 != 1:
         raise ValueError("the character's domain must contain the full centre")
-    gens = defining_generators(ranks, params)
-    vals = {name: evaluate(chi, g) for name, g in zip(COORD_NAMES[ranks], gens)}
+    vals = {name: evaluate(chi, g)
+            for name, g in zip(case.coords, case.generators(q))}
     vals["lambda"] = evaluate(chi, elt(c=1))
     return vals
 
 
-# ---------------------------------------------------------------------------
-# subset membership
-
-
 def subset_of(ranks: tuple[int, int], params) -> str:
     """Subset label of an admissible tuple; NoSubsetError otherwise."""
-    p = _check_length(ranks, params)
-    if ranks == (1, 1):
-        return _subset_11(p)
-    if ranks == (2, 0):
-        return _subset_20(p)
-    if ranks == (2, 1):
-        return _subset_21(p)
-    if ranks == (1, 2):
-        return _subset_12(p)
-    if ranks == (2, 2):
-        return _subset_22(p)
-    if ranks == (3, 2):
-        return _subset_32(p)
-    raise ValueError(f"unknown rank pair {ranks}")
+    case, q = _parsed(ranks, params)
+    return case.subset(q)
 
 
-def _subset_11(p) -> str:
-    a, d, f, b, e = p
-    if (a, f) == (0, 0):
-        raise NoSubsetError("no subset: requires (a, f) != (0, 0)")
-    n = _gcd(a, f)
-    a1, f1 = a // n, f // n
-    if d == 0 and f == 0:
-        # normal family along the first axis
-        if b != 1:
-            raise NoSubsetError("no subset: requires b = 1 when d = f = 0")
-        if _gcd(e, a) != 1:
-            raise NoSubsetError("no subset: requires gcd(e, a) = 1 when d = f = 0")
-        return "N1"
-    if a == 0 and d == 0:
-        if e != 1:
-            raise NoSubsetError("no subset: requires e = 1 when a = d = 0")
-        if _gcd(b, f) != 1:
-            raise NoSubsetError("no subset: requires gcd(b, f) = 1 when a = d = 0")
-        return "N2"
-    if _gcd(f1 * b - a1 * e, a, d, f) != 1:
-        raise NoSubsetError(
-            "no subset: requires gcd(f1*b - a1*e, a, d, f) = 1 "
-            "(f1, a1 the primitive direction of (f, a))")
-    if a and d and f:
-        return "S1"
-    if a == 0:
-        return "S2"  # d, f nonzero
-    if f == 0:
-        return "S3"  # a, d nonzero
-    return "S4"  # d == 0, a, f nonzero
+def validity(ranks, subset: str, params, chi: Character):
+    """(ok, conditions) for the pair; ok is None when the decision is by
+    the finite-index scan of the top-rank case."""
+    case, q = _parsed(ranks, params)
+    conds = case.conditions(q, subset, _values(case, q, chi), chi)
+    return (None if case.scanned else all(c["holds"] for c in conds)), conds
 
 
-def _subset_20(p) -> str:
-    a, b, e, f1, b1, e1 = p
-    if a == 0:
-        raise NoSubsetError("no subset: requires a != 0")
-    if f1 == 0:
-        raise NoSubsetError("no subset: requires f' != 0")
-    if a * e1 + f1 * b != 0:
-        raise NoSubsetError("no subset: requires a*e' + f'*b = 0")
-    if _gcd(a, b, e) != 1:
-        raise NoSubsetError("no subset: requires gcd(a, b, e) = 1")
-    if _gcd(f1, b1, e1) != 1:
-        raise NoSubsetError("no subset: requires gcd(f', b', e') = 1")
-    return "S"
+def normalizer_generators(ranks, subset: str, params) -> list[Elt]:
+    """Generators of the normalizer modulo the subgroup itself."""
+    case, q = _parsed(ranks, params)
+    return case.normalizer(q, subset)
 
 
-def _subset_21(p) -> str:
-    a, e, d1, e1 = p
-    if a == 0:
-        raise NoSubsetError("no subset: requires a != 0")
-    if d1 == 0:
-        raise NoSubsetError("no subset: requires d' != 0")
-    k1, k2 = _gcd(a, e), _gcd(d1, e1)
-    return "S1" if k1 == 1 and k2 == 1 else "S2"
+def tabulated_action(ranks, subset: str, params, gi: int, v: dict) -> list[UnitValue] | None:
+    """Closed-form values of the conjugated character on the defining
+    generators, for the gi-th normalizer generator; None when no closed
+    form is tabulated for this subset (the conjugation is then computed
+    from first principles).  The central value is always unchanged.
+    """
+    case, q = _parsed(ranks, params)
+    return case.action(q, subset, gi, v)
 
 
-def _subset_12(p) -> str:
-    a, d, f, b, e, b1, e1 = p
-    if p == (0, 1, 0, 0, 0, 1, 1):
-        return "A"
-    if d == 0:
-        raise NoSubsetError("no subset: requires d != 0")
-    if a == 0 and f == 0:
-        raise NoSubsetError(
-            "no subset: only (0, 1, 0, 0, 0, 1, 1) is admissible with a = f = 0")
-    if a != 0 and f != 0:
-        if b1 == 0 or e1 == 0:
-            raise NoSubsetError("no subset: requires b', e' != 0")
-        if abs(b) >= abs(b1) or abs(e) >= abs(e1):
-            raise NoSubsetError("no subset: requires |b| < |b'| and |e| < |e'|")
-        return "S1"
-    if a != 0:  # f == 0
-        if b1 != 1:
-            raise NoSubsetError("no subset: requires b' = 1 when f = 0")
-        if b != 0:
-            raise NoSubsetError("no subset: requires b = 0 when f = 0")
-        if e1 == 0 or abs(e) >= abs(e1):
-            raise NoSubsetError("no subset: requires |e| < |e'|, e' != 0")
-        return "S2"
-    # a == 0, f != 0
-    if e1 != 1:
-        raise NoSubsetError("no subset: requires e' = 1 when a = 0")
-    if e != 0:
-        raise NoSubsetError("no subset: requires e = 0 when a = 0")
-    if b1 == 0 or abs(b) >= abs(b1):
-        raise NoSubsetError("no subset: requires |b| < |b'|, b' != 0")
-    return "S3"
+def printed_action_variant(ranks, subset: str, params, gi: int, v: dict):
+    """Alternate displayed reading where the typeset closed form differs
+    from the verified one; (note, values) or None."""
+    case, q = _parsed(ranks, params)
+    return case.printed(q, subset, gi, v)
 
 
-def _subset_22(p) -> str:
-    a, f, b, e, d1, f1, b1, e1, b2, e2 = p
-    if a != 0 and f != 0 and d1 != 0 and f1 != 0:
-        if b2 == 0 or e2 == 0:
-            raise NoSubsetError("no subset: requires b'', e'' != 0")
-        if d1 * a % b2 or d1 * f % e2:
-            raise NoSubsetError(
-                "no subset: requires b'' | d'*a and e'' | d'*f")
-        if max(abs(b), abs(b1)) >= abs(b2) or max(abs(e), abs(e1)) >= abs(e2):
-            raise NoSubsetError(
-                "no subset: requires |b|, |b'| < |b''| and |e|, |e'| < |e''|")
-        return "S1"
-    if a != 0 and d1 != 0 and f == 0 and f1 == 0:
-        if b2 != 1 or b != 0 or b1 != 0:
-            raise NoSubsetError(
-                "no subset: requires b'' = 1 and b = b' = 0 when f = f' = 0")
-        if e2 == 0 or max(abs(e), abs(e1)) >= abs(e2):
-            raise NoSubsetError("no subset: requires |e|, |e'| < |e''|, e'' != 0")
-        return "S2"
-    if a == 0 and f != 0 and d1 != 0 and f1 == 0:
-        if e2 != 1 or e != 0 or e1 != 0:
-            raise NoSubsetError(
-                "no subset: requires e'' = 1 and e = e' = 0 when a = f' = 0")
-        if b2 == 0 or max(abs(b), abs(b1)) >= abs(b2):
-            raise NoSubsetError("no subset: requires |b|, |b'| < |b''|, b'' != 0")
-        return "S3"
-    if a != 0 and f1 != 0 and d1 == 0 and f == 0:
-        if b2 == 0 or e2 == 0:
-            raise NoSubsetError("no subset: requires b'', e'' != 0")
-        if max(abs(b), abs(b1)) >= abs(b2) or max(abs(e), abs(e1)) >= abs(e2):
-            raise NoSubsetError(
-                "no subset: requires |b|, |b'| < |b''| and |e|, |e'| < |e''|")
-        return "S4"
-    raise NoSubsetError(
-        "no subset: level-1 zero pattern matches none of the four admissible "
-        "degenerations (need a,f,d',f' all nonzero; or f = f' = 0; or "
-        "a = f' = 0; or d' = f = 0)")
+def strata_table(ranks, subset: str, params, v: dict) -> list[tuple[StratumRow, bool]]:
+    """All stratum rows for the subset with the selector evaluated on the
+    given character values; rows are 1-based in table order."""
+    case, q = _parsed(ranks, params)
+    return [(StratumRow(i, tuple(fibers), selector), matched)
+            for i, (fibers, matched, selector)
+            in enumerate(case.strata(q, subset, v), 1)]
 
 
-def _subset_32(p) -> str:
-    a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = p
-    for name, val in (("a", a), ("d'", d1), ("f''", f2), ("b'''", b3), ("e'''", e3)):
-        if val == 0:
-            raise NoSubsetError(f"no subset: requires {name} != 0")
-    if a * d1 % b3 or d1 * f2 % e3:
-        raise NoSubsetError("no subset: requires b''' | a*d' and e''' | d'*f''")
-    if max(abs(b), abs(b1), abs(b2)) >= abs(b3):
-        raise NoSubsetError("no subset: requires |b|, |b'|, |b''| < |b'''|")
-    if max(abs(e), abs(e1), abs(e2)) >= abs(e3):
-        raise NoSubsetError("no subset: requires |e|, |e'|, |e''| < |e'''|")
-    return "S"
+def relation_checks(ranks, subset: str, params):
+    """Displayed commutator identities: (name, element, exact word builder,
+    printed word builder or None).  Builders map the value dict to a
+    UnitValue; the exact one matches the element's decomposition."""
+    case, q = _parsed(ranks, params)
+    return case.relations(q, subset, case.generators(q))
+
+
+def central_orders(ranks, subset: str, params, bound: int = 2000) -> list[int]:
+    """Central-value orders compatible with the level-2 exponents."""
+    case, q = _parsed(ranks, params)
+    return case.central_orders(q, bound)
+
+
+def character_samples(ranks, subset: str, params) -> list[Character]:
+    """Deterministic generic valid characters on the canonical subgroup.
+
+    Free directions get fresh symbols; constrained directions get exact
+    torsion solutions.  Every returned character is a valid homomorphism
+    and satisfies the case's irreducibility conditions.
+    """
+    case, q = _parsed(ranks, params)
+    gens = case.generators(q) + [elt(c=1)]
+    sub = subgroup(gens)
+    names = case.coords + ("lambda",)
+    chars = []
+    for assign in case.samples(q, subset):
+        try:
+            chars.append(solve_character(sub, gens, [assign[n] for n in names]))
+        except ValueError:
+            continue
+    return chars
+
+
+def character_from_values(ranks, params, vals: dict) -> Character:
+    """Character on build_subgroup(ranks, params) with the given values on
+    the defining generators (keys from COORD_NAMES plus "lambda")."""
+    case, q = _parsed(ranks, params)
+    gens = case.generators(q) + [elt(c=1)]
+    values = [vals[name] for name in case.coords]
+    return solve_character(subgroup(gens), gens,
+                           values + [vals.get("lambda", ONE)])
+
+
+def enumerate_params(ranks, box: tuple[int, int], limit: int | None = None):
+    """Admissible tuples with all coordinates in [box[0], box[1]],
+    lexicographically ordered; limit caps the output length."""
+    case = _case(ranks)
+    lo, hi = int(box[0]), int(box[1])
+    if lo > hi:
+        return []
+    found = case.enumerate(lo, hi)
+    return found if limit is None else found[:limit]
+
+
+def conjugation_move(ranks, params, shift: int):
+    """The residue-shifting conjugation move: (conjugator, new params).
+
+    Conjugating the canonical subgroup by the returned element yields the
+    canonical subgroup of the returned tuple.
+    """
+    case, q = _parsed(ranks, params)
+    return case.conjugation(q, shift)
+
+
+def f_move_candidates(ranks, subset: str, params, vals: dict, cap: int = 64):
+    """Finite root/residue replacement candidates: (params, values, note),
+    the first cap of them in the case's order.
+
+    Candidate tuples share the isolator with the input; the caller is
+    responsible for filtering by validity and restriction agreement.
+    """
+    case, q = _parsed(ranks, params)
+    return list(islice(case.f_moves(q, subset, vals), cap))
 
 
 # ---------------------------------------------------------------------------
-# irreducibility conditions
+# rules shared by several rank pairs
+
+
+def _lattice_matches(sub: Subgroup, want_rows: list[tuple[int, int]]) -> bool:
+    have = [tuple(r) for r in sub.level2_rows]
+    want = [tuple(r) for r in intlin.hnf([list(r) for r in want_rows])]
+    return have == want
+
+
+def _pivot_cols(rows) -> tuple[int, ...]:
+    cols = []
+    for r in rows:
+        for j, x in enumerate(r):
+            if x:
+                cols.append(j)
+                break
+    return tuple(cols)
+
+
+def _split_level2(moved: Subgroup) -> tuple[int, int]:
+    """The diagonal of a level-2 lattice split along the coordinate axes."""
+    l2 = moved.level2_rows
+    if l2[0][1] != 0:
+        raise CaseStructureError(
+            "violates case structure: the level-2 lattice is not split "
+            "along the coordinate axes")
+    return l2[0][0], l2[1][1]
+
+
+def _residues(rng: range, modulus: int) -> list[int]:
+    # the residue coordinates enter the subset conditions only through the
+    # bounds |residue| < |modulus| that these ranges already enforce, so
+    # the first tuple of each block of residues decides the whole block
+    return [x for x in rng if abs(x) < abs(modulus)]
+
+
+def _lambda_rows(lam_cls: str, fibers, matched: bool = True,
+                 tail: str = "") -> list:
+    """A stratum row with lambda off the circle and its twin with lambda on
+    it; fibers(_ell) and fibers(_pp) give their other fibers."""
+    return [(fibers(_ell) + [_LAM_OFF], lam_cls == "off_circle" and matched,
+             "lambda off the circle" + tail),
+            (fibers(_pp) + [_LAM_CIRC], lam_cls == "circle_free" and matched,
+             "lambda on the circle" + tail)]
 
 
 def _cond(name: str, holds: bool, detail: str = "") -> dict:
@@ -419,158 +467,120 @@ def _cond(name: str, holds: bool, detail: str = "") -> dict:
     return out
 
 
-def validity(ranks, subset: str, params, chi: Character):
-    """(ok, conditions) for the pair; ok is None when the decision is by
-    the finite-index scan of the top-rank case."""
-    p = _check_length(ranks, params)
-    v = case_values(ranks, p, chi)
+def _central_free(v: dict) -> dict:
     lam = v["lambda"]
-    conds: list[dict] = []
-    if ranks in ((1, 1), (2, 0)):
-        conds.append(_cond("central value is not a root of unity",
-                           not lam.is_root_of_unity, str(lam)))
-    elif ranks == (2, 1):
-        a, e, d1, e1 = p
-        h1, h2, _ = defining_generators(ranks, p)
-        conds.append(_cond("central value is not a root of unity",
-                           not lam.is_root_of_unity, str(lam)))
-        conds.append(_cond("character kills the commutator of the level-1 generators",
-                           evaluate(chi, commutator(h1, h2)).is_one))
-        if subset == "S2":
-            k = _gcd(a, e) * _gcd(d1, e1)
-            w0 = v["z"] ** _div(a * d1, k) * lam ** _div(a * e1, k)
-            conds.append(_cond(
-                f"distinguished root of unity has exact order {k}",
-                w0.value_order() == k, str(w0)))
-    elif ranks == (1, 2):
-        a, d, f, b, e, b1, e1 = p
-        if subset == "A":
-            free = not lam.is_root_of_unity
-            generic = (not v["z"].is_root_of_unity
-                       and not v["w"].is_root_of_unity)
-            conds.append(_cond(
-                "central value off torsion, or both level-2 values off torsion",
-                free or generic))
-        else:
-            nu = lam.value_order()
-            conds.append(_cond("central value has finite order", nu is not None,
-                               str(lam)))
-            if nu is not None:
-                conds.append(_cond("b' matches the central order against f",
-                                   abs(b1) == _div(nu, _gcd(nu, f)),
-                                   f"order {nu}"))
-                conds.append(_cond("e' matches the central order against a",
-                                   abs(e1) == _div(nu, _gcd(nu, a)),
-                                   f"order {nu}"))
-            conds.append(_cond("first level-2 value is not a root of unity",
-                               not v["z"].is_root_of_unity))
-            conds.append(_cond("second level-2 value is not a root of unity",
-                               not v["w"].is_root_of_unity))
-    elif ranks == (2, 2):
-        a, f, b, e, d1, f1, b1, e1, b2, e2 = p
-        h1, h2 = defining_generators(ranks, p)[:2]
-        nu = lam.value_order()
-        conds.append(_cond("central value has finite order", nu is not None,
-                           str(lam)))
-        if nu is not None:
-            want_b2 = _lcm(_div(nu, _gcd(nu, f)), _div(nu, _gcd(nu, f1)))
-            conds.append(_cond("b'' matches the central order against (f, f')",
-                               abs(b2) == want_b2, f"order {nu}"))
-            conds.append(_cond("e'' matches the central order against a",
-                               abs(e2) == _div(nu, _gcd(nu, a)), f"order {nu}"))
-        conds.append(_cond("character kills the commutator of the level-1 generators",
-                           evaluate(chi, commutator(h1, h2)).is_one))
-        conds.append(_cond("level-2 values are not both torsion",
-                           not (v["z"].is_root_of_unity and v["w"].is_root_of_unity)))
-    elif ranks == (3, 2):
-        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = p
-        n3 = _gcd(f2 * b3, a * e2 + b * f2, a * e3)
-        nu = lam.value_order()
-        conds.append(_cond("central value has finite order", nu is not None,
-                           str(lam)))
-        if nu is not None:
-            lam_e1 = lam ** (a * e1)
-            n1 = abs(_div(d1 * a, b3)) * lam_e1.value_order()
-            lam_b1 = lam ** (b1 * f2)
-            n2 = abs(_div(d1 * f2, e3)) * lam_b1.value_order()
-            conds.append(_cond(f"first level-2 value has exact order {n1}",
-                               v["z"].value_order() == n1))
-            conds.append(_cond(f"second level-2 value has exact order {n2}",
-                               v["w"].value_order() == n2))
-            conds.append(_cond(f"central value has exact order {n3}",
-                               nu == n3))
-        ok = None  # decided by the finite-index double-coset scan
-        return ok, conds
-    else:
-        raise ValueError(f"unknown rank pair {ranks}")
-    return all(c["holds"] for c in conds), conds
+    return _cond("central value is not a root of unity",
+                 not lam.is_root_of_unity, str(lam))
+
+
+def _central_finite(lam: UnitValue, nu: int | None) -> dict:
+    return _cond("central value has finite order", nu is not None, str(lam))
+
+
+def _kills_commutator(chi: Character, gens: list[Elt]) -> dict:
+    return _cond("character kills the commutator of the level-1 generators",
+                 evaluate(chi, commutator(gens[0], gens[1])).is_one)
+
+
+def _sym(name: str, circle: bool = False) -> UnitValue:
+    return symbol_value(ValueSymbol(name, on_circle=circle))
+
+
+def _torsion_solution(m: int, target: UnitValue, j: int) -> UnitValue:
+    """A solution x of x**m = target, twisted by the j-th root of unity."""
+    return target ** Fraction(1, m) * root_of_unity(j, abs(m))
 
 
 # ---------------------------------------------------------------------------
-# normalizer generators and tabulated multiplier formulas
+# the six rank pairs
 
 
-def normalizer_generators(ranks, subset: str, params) -> list[Elt]:
-    """Generators of the normalizer modulo the subgroup itself."""
-    p = _check_length(ranks, params)
-    if ranks == (1, 1):
-        a, d, f, b, e = p
+class _Case11(RankCase):
+    """(1, 1): one level-1 generator and the primitive level-2 element
+    along its corner direction."""
+
+    Params = namedtuple("Params11", "a d f b e n a1 f1 lexp")
+
+    def derive(self, a, d, f, b, e):
+        # n = gcd(a, f), (a1, f1) the primitive direction of (a, f), and
+        # lexp the central exponent that the first normalizer generator
+        # of subsets S1-S4 puts on t
         n = _gcd(a, f)
-        a1, f1 = a // n, f // n
+        a1, f1 = (a // n, f // n) if n else (0, 0)
+        return self.Params(a, d, f, b, e, n, a1, f1,
+                           a1 * e + f1 * b + (1 - n) * a1 * f1 * d)
+
+    def generators(self, q) -> list[Elt]:
+        if (q.a, q.f) == (0, 0):
+            raise NoSubsetError("no subset: requires (a, f) != (0, 0)")
+        return [elt(a=q.a, d=q.d, f=q.f, b=q.b, e=q.e), elt(b=q.a1, e=q.f1)]
+
+    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+        (a, d, f), (b, e) = moved.level1_rows[0], canon[0]
+        if (a, f) == (0, 0):
+            raise CaseStructureError(
+                "violates case structure: the level-1 direction has no "
+                "corner component")
+        q = self.derive(a, d, f, b, e)
+        if not _lattice_matches(moved, [(q.a1, q.f1)]):
+            raise CaseStructureError(
+                "violates case structure: the level-2 lattice is not the "
+                "primitive corner direction")
+        if d == 0 and f == 0:
+            return (a, 0, 0, 1, e)
+        if a == 0 and d == 0:
+            return (0, 0, f, b, 1)
+        return (a, d, f, b, e)
+
+    def subset(self, q) -> str:
+        a, d, f, b, e, n, a1, f1, lexp = q
+        if (a, f) == (0, 0):
+            raise NoSubsetError("no subset: requires (a, f) != (0, 0)")
+        if d == 0 and f == 0:
+            # normal family along the first axis
+            if b != 1:
+                raise NoSubsetError("no subset: requires b = 1 when d = f = 0")
+            if _gcd(e, a) != 1:
+                raise NoSubsetError(
+                    "no subset: requires gcd(e, a) = 1 when d = f = 0")
+            return "N1"
+        if a == 0 and d == 0:
+            if e != 1:
+                raise NoSubsetError("no subset: requires e = 1 when a = d = 0")
+            if _gcd(b, f) != 1:
+                raise NoSubsetError(
+                    "no subset: requires gcd(b, f) = 1 when a = d = 0")
+            return "N2"
+        if _gcd(f1 * b - a1 * e, a, d, f) != 1:
+            raise NoSubsetError(
+                "no subset: requires gcd(f1*b - a1*e, a, d, f) = 1 "
+                "(f1, a1 the primitive direction of (f, a))")
+        if a and d and f:
+            return "S1"
+        if a == 0:
+            return "S2"  # d, f nonzero
+        if f == 0:
+            return "S3"  # a, d nonzero
+        return "S4"  # d == 0, a, f nonzero
+
+    def conditions(self, q, subset: str, v: dict, chi: Character) -> list[dict]:
+        return [_central_free(v)]
+
+    def normalizer(self, q, subset: str) -> list[Elt]:
         if subset in ("S1", "S3", "S4"):
-            return [elt(a=a1, f=-f1), elt(e=1)]
+            return [elt(a=q.a1, f=-q.f1), elt(e=1)]
         if subset == "S2":
-            return [elt(a=a1, f=-f1), elt(b=1)]
+            return [elt(a=q.a1, f=-q.f1), elt(b=1)]
         if subset == "N1":
             return [elt(d=1), elt(e=1), elt(f=1)]
         return [elt(d=1), elt(b=1), elt(a=1)]  # N2, mirrored
-    if ranks == (2, 0):
-        return [elt(b=1), elt(e=1)]
-    if ranks == (2, 1):
-        return [elt(e=1)]
-    if ranks == (1, 2):
-        a, d, f, b, e, b1, e1 = p
-        if subset == "A":
-            return [elt(a=1), elt(f=1)]
-        d1_ = _lcm(_div(abs(b1), _gcd(a, b1)), _div(abs(e1), _gcd(f, e1)))
-        f1_ = _div(abs(e1), _gcd(d, e1))
-        return [elt(d=d1_), elt(f=f1_)]
-    if ranks == (2, 2):
-        a, f, b, e, d1, f1, b1, e1, b2, e2 = p
-        if subset in ("S1", "S2"):
-            ft = _div(abs(e2), _gcd(d1, e2))
-            return [elt(f=ft)]
-        if subset == "S3":
-            at = _div(abs(b2), _gcd(d1, b2))
-            return [elt(a=at)]
-        dt = _lcm(_div(abs(b2), _gcd(a, b2)), _div(abs(e2), _gcd(f1, e2)))
-        return [elt(d=dt, f=1)]  # S4
-    if ranks == (3, 2):
-        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = p
-        dt = _lcm(_div(abs(b3), _gcd(a, b3)), _div(abs(e3), _gcd(f2, e3)))
-        at = _div(abs(b3), _gcd(d1, b3))
-        ft = _div(abs(e3), _gcd(d1, e3))
-        return [elt(b=1), elt(e=1), elt(d=dt), elt(a=at), elt(f=ft)]
-    raise ValueError(f"unknown rank pair {ranks}")
 
-
-def tabulated_action(ranks, subset: str, params, gi: int, v: dict) -> list[UnitValue] | None:
-    """Closed-form values of the conjugated character on the defining
-    generators, for the gi-th normalizer generator; None when no closed
-    form is tabulated for this subset (the conjugation is then computed
-    from first principles).  The central value is always unchanged.
-    """
-    p = _check_length(ranks, params)
-    lam = v["lambda"]
-    if ranks == (1, 1):
-        a, d, f, b, e = p
-        n = _gcd(a, f)
-        a1, f1 = a // n, f // n
-        t, z = v["t"], v["z"]
+    def action(self, q, subset: str, gi: int, v: dict):
+        a, d, f, b, e, n, a1, f1, lexp = q
+        t, z, lam = v["t"], v["z"], v["lambda"]
         if subset in ("S1", "S2", "S3", "S4"):
             if gi == 0:
-                return [t * z ** d * lam ** (a1 * e + f1 * b + (1 - n) * a1 * f1 * d),
-                        z * lam ** (2 * a1 * f1)]
+                return [t * z ** d * lam ** lexp, z * lam ** (2 * a1 * f1)]
             return [t * lam ** (f if subset == "S2" else -a), z]
         if subset == "N1":
             if gi == 0:
@@ -579,282 +589,595 @@ def tabulated_action(ranks, subset: str, params, gi: int, v: dict) -> list[UnitV
                 return [t * lam ** (-a), z]
             return [t * lam ** (-b), z * lam ** (-a1)]
         return None  # N2: mirrored, computed from first principles
-    if ranks == (2, 0):
-        a, b, e, f1, b1, e1 = p
-        t, s = v["t"], v["s"]
+
+    def printed(self, q, subset: str, gi: int, v: dict):
+        if subset not in ("S1", "S3", "S4") or gi != 0:
+            return None
+        a, d, f, b, e, n, a1, f1, lexp = q
+        lam = v["lambda"]
+        return ("displayed central exponent reads a'e + f'b + a'f'd; the "
+                "computed one carries (1 - gcd(a, f)) on the a'f'd term",
+                [v["t"] * v["z"] ** d * lam ** (a1 * e + f1 * b + a1 * f1 * d),
+                 v["z"] * lam ** (2 * a1 * f1)])
+
+    def strata(self, q, subset: str, v: dict) -> list:
+        a, d, f, b, e, n, a1, f1, lexp = q
+        lam_cls = v["lambda"].modulus_class()
+        off, circ = lam_cls == "off_circle", lam_cls == "circle_free"
+        ztor = v["z"].is_root_of_unity
+        if subset == "S1":
+            tw = _tt(_mono(("z", d), ("lambda", lexp)), _mono(("lambda", a)))
+            zq = _mono(("lambda", 2 * a1 * f1))
+            g = _mono(("lambda", _gcd(lexp, a)))
+            return (_lambda_rows(lam_cls, lambda fib: [tw, fib(zq, "nontorsion")],
+                                 not ztor, ", z not torsion")
+                    + _lambda_rows(lam_cls, lambda fib: [fib(g), _muinf()],
+                                   ztor, ", z torsion"))
+        if subset in ("S2", "S3"):
+            lam_exp = f1 * b if subset == "S2" else a1 * e
+            axis = f if subset == "S2" else a
+            tw = _tt(_mono(("z", d), ("lambda", lam_exp)),
+                     _mono(("lambda", axis)))
+            g = _mono(("lambda", _gcd(lam_exp, axis)))
+            zcls = v["z"].modulus_class()
+            return [
+                ([tw, _cstar("off_circle"), _LAM_OFF],
+                 off and zcls == "off_circle",
+                 "z off the circle, lambda off the circle"),
+                ([tw, _cstar("circle_nontorsion"), _LAM_OFF],
+                 off and zcls == "circle_free",
+                 "z on the circle non-torsion, lambda off the circle"),
+                ([_ell(g), _muinf(), _LAM_OFF], off and ztor,
+                 "z torsion, lambda off the circle"),
+                ([tw, _cstar("nontorsion"), _LAM_CIRC], circ and not ztor,
+                 "z not torsion, lambda on the circle"),
+                ([_pp(g), _muinf(), _LAM_CIRC], circ and ztor,
+                 "z torsion, lambda on the circle"),
+            ]
+        if subset == "S4":
+            g = _mono(("lambda", _gcd(lexp, a)))  # d = 0 in S4
+            zq = _mono(("lambda", 2 * a1 * f1))
+            return _lambda_rows(lam_cls, lambda fib: [fib(g), fib(zq)])
+        axis = a if subset == "N1" else f  # N1 / N2
+        tw = _tt(_mono(("z", axis)), _mono(("lambda", axis)))
+        return [
+            ([tw, _ell("lambda", "nontorsion"), _LAM_OFF], off and not ztor,
+             "lambda off the circle, z not torsion"),
+            ([_ell("lambda"), _muinf(), _LAM_OFF], off and ztor,
+             "lambda off the circle, z torsion"),
+            ([tw, _pp("lambda", "nontorsion"), _LAM_CIRC], circ and not ztor,
+             "lambda on the circle, z not torsion"),
+            ([_pp("lambda"), _muinf(), _LAM_CIRC], circ and ztor,
+             "lambda on the circle, z torsion"),
+        ]
+
+    def samples(self, q, subset: str) -> list[dict]:
+        return [
+            {"t": _sym("t"), "z": _sym("z"), "lambda": _sym("lam")},
+            {"t": _sym("t"), "z": root_of_unity(1, 3),
+             "lambda": _sym("lam", True)},
+        ]
+
+    def conjugation(self, q, shift: int):
+        a, d, f, b, e = q[:5]
+        return elt(d=shift), (a, d, f, b - a * shift, e + f * shift)
+
+
+class _Case20(RankCase):
+    """(2, 0): two level-1 generators along the outer axes and no level-2
+    layer beyond the centre."""
+
+    Params = namedtuple("Params20", "a b e f1 b1 e1")
+
+    def generators(self, q) -> list[Elt]:
+        return [elt(a=q.a, b=q.b, e=q.e), elt(f=q.f1, b=q.b1, e=q.e1)]
+
+    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+        # level-1 pivots other than the outer axes would give a non-central
+        # commutator, so the pivots are (0, 2) and p2 is 0
+        (a, x, y), (_, p2, f1) = moved.level1_rows
+        if x or y or p2:
+            raise CaseStructureError(
+                "violates case structure: the two level-1 directions are "
+                "not the pure outer axes")
+        (b, e), (b1, e1) = canon
+        return (a, b, e, f1, b1, e1)
+
+    def subset(self, q) -> str:
+        a, b, e, f1, b1, e1 = q
+        if a == 0:
+            raise NoSubsetError("no subset: requires a != 0")
+        if f1 == 0:
+            raise NoSubsetError("no subset: requires f' != 0")
+        if a * e1 + f1 * b != 0:
+            raise NoSubsetError("no subset: requires a*e' + f'*b = 0")
+        if _gcd(a, b, e) != 1:
+            raise NoSubsetError("no subset: requires gcd(a, b, e) = 1")
+        if _gcd(f1, b1, e1) != 1:
+            raise NoSubsetError("no subset: requires gcd(f', b', e') = 1")
+        return "S"
+
+    conditions = _Case11.conditions  # the central value off torsion
+
+    def normalizer(self, q, subset: str) -> list[Elt]:
+        return [elt(b=1), elt(e=1)]
+
+    def action(self, q, subset: str, gi: int, v: dict):
+        t, s, lam = v["t"], v["s"], v["lambda"]
         if gi == 0:
-            return [t, s * lam ** f1]
-        return [t * lam ** (-a), s]
-    if ranks == (2, 1):
-        a, e, d1, e1 = p
-        return [v["t"] * lam ** (-a), v["r"], v["z"]]
-    if ranks == (1, 2):
-        a, d, f, b, e, b1, e1 = p
-        t, z, w = v["t"], v["z"], v["w"]
+            return [t, s * lam ** q.f1]
+        return [t * lam ** (-q.a), s]
+
+    def printed(self, q, subset: str, gi: int, v: dict):
+        t, s, lam = v["t"], v["s"], v["lambda"]
+        if gi == 0:
+            return ("displayed form attaches the lambda^f' factor to the "
+                    "first generator instead of the second",
+                    [t * lam ** q.f1, s])
+        return ("displayed form attaches the lambda^-a factor to the second "
+                "generator instead of the first", [t, s * lam ** (-q.a)])
+
+    def strata(self, q, subset: str, v: dict) -> list:
+        wf, wa = _mono(("lambda", q.f1)), _mono(("lambda", q.a))
+        return _lambda_rows(v["lambda"].modulus_class(),
+                            lambda fib: [fib(wf), fib(wa)])
+
+    def samples(self, q, subset: str) -> list[dict]:
+        return [
+            {"t": _sym("t"), "s": _sym("s"), "lambda": _sym("lam")},
+            {"t": _sym("t", True), "s": _sym("s"), "lambda": _sym("lam", True)},
+        ]
+
+    def conjugation(self, q, shift: int):
+        a, b, e, f1, b1, e1 = q
+        return elt(d=shift), (a, b - a * shift, e, f1, b1, e1 + f1 * shift)
+
+
+class _Case21(RankCase):
+    """(2, 1): the two leading level-1 axes over the first level-2 axis."""
+
+    Params = namedtuple("Params21", "a e d1 e1 k1 k2")
+
+    def derive(self, a, e, d1, e1):
+        return self.Params(a, e, d1, e1, _gcd(a, e), _gcd(d1, e1))
+
+    def generators(self, q) -> list[Elt]:
+        return [elt(a=q.a, e=q.e), elt(d=q.d1, e=q.e1), elt(b=1)]
+
+    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+        rows1 = moved.level1_rows
+        if _pivot_cols(rows1) != (0, 1):
+            raise CaseStructureError(
+                "violates case structure: the level-1 lattice does not "
+                "have the two leading axes as pivots")
+        (a, x, y), (_, d1, z) = rows1
+        if x or y or z:
+            raise CaseStructureError(
+                "violates case structure: the level-1 rows are not the "
+                "pure leading axes")
+        if not _lattice_matches(moved, [(1, 0)]):
+            raise CaseStructureError(
+                "violates case structure: the level-2 lattice is not the "
+                "first coordinate axis")
+        (_, e), (_, e1) = canon
+        return (a, e, d1, e1)
+
+    def subset(self, q) -> str:
+        if q.a == 0:
+            raise NoSubsetError("no subset: requires a != 0")
+        if q.d1 == 0:
+            raise NoSubsetError("no subset: requires d' != 0")
+        return "S1" if q.k1 == 1 and q.k2 == 1 else "S2"
+
+    def distinguished(self, q, z: UnitValue, lam: UnitValue) -> UnitValue:
+        """The root of unity whose exact order k1*k2 subset S2 requires."""
+        k = q.k1 * q.k2
+        return z ** _div(q.a * q.d1, k) * lam ** _div(q.a * q.e1, k)
+
+    def conditions(self, q, subset: str, v: dict, chi: Character) -> list[dict]:
+        conds = [_central_free(v), _kills_commutator(chi, self.generators(q))]
+        if subset == "S2":
+            k = q.k1 * q.k2
+            w0 = self.distinguished(q, v["z"], v["lambda"])
+            conds.append(_cond(
+                f"distinguished root of unity has exact order {k}",
+                w0.value_order() == k, str(w0)))
+        return conds
+
+    def normalizer(self, q, subset: str) -> list[Elt]:
+        return [elt(e=1)]
+
+    def action(self, q, subset: str, gi: int, v: dict):
+        return [v["t"] * v["lambda"] ** (-q.a), v["r"], v["z"]]
+
+    def strata(self, q, subset: str, v: dict) -> list:
+        wa = _mono(("lambda", q.a))
+        return _lambda_rows(v["lambda"].modulus_class(), lambda fib: [
+            fib(wa), _cstar(), _mun(q.a * q.d1)])
+
+    def relations(self, q, subset: str, gens: list[Elt]) -> list:
+        return [("commutator of the two level-1 generators",
+                 commutator(gens[0], gens[1]),
+                 lambda v: v["z"] ** (q.a * q.d1) * v["lambda"] ** (q.a * q.e1),
+                 None)]
+
+    def samples(self, q, subset: str) -> list[dict]:
+        a, e, d1, e1 = q[:4]
+        out = []
+        for j, circ in iproduct(range(abs(a * d1) + 1), (False, True)):
+            lam = _sym("lam", circ)
+            z = _torsion_solution(a * d1, lam ** (-a * e1), j)
+            if (subset == "S2" and self.distinguished(q, z, lam).value_order()
+                    != q.k1 * q.k2):
+                continue
+            out.append({"t": _sym("t"), "r": _sym("r"), "z": z, "lambda": lam})
+            if len(out) >= 3:
+                break
+        return out
+
+    def conjugation(self, q, shift: int):
+        return elt(f=shift), (q.a, q.e, q.d1, q.e1 - q.d1 * shift)
+
+    def f_moves(self, q, subset: str, vals: dict):
+        a, e, d1, e1, k1, k2 = q
+        t, r, z, lam = vals["t"], vals["r"], vals["z"], vals["lambda"]
+        for m in intlin.divisors(k1)[1:]:
+            p2 = (a // m, e // m, d1 * m, e1 * m)
+            for root in t.roots(m):
+                yield (p2, {"t": root, "r": r ** m, "z": z, "lambda": lam},
+                       f"root extraction of order {m} on the first generator")
+        for m in intlin.divisors(k2)[1:]:
+            p2 = (a * m, e * m, d1 // m, e1 // m)
+            for root in r.roots(m):
+                yield (p2, {"t": t ** m, "r": root, "z": z, "lambda": lam},
+                       f"root extraction of order {m} on the second generator")
+
+
+class _Case12(RankCase):
+    """(1, 2): one level-1 generator over a full-rank level-2 lattice."""
+
+    Params = namedtuple("Params12", "a d f b e b1 e1 d1_ f1_")
+
+    def derive(self, a, d, f, b, e, b1, e1):
+        # d1_, f1_: the exponents of the normalizer generators elt(d=d1_)
+        # and elt(f=f1_) outside subset A
+        return self.Params(a, d, f, b, e, b1, e1,
+                           _lcm(_order(a, b1), _order(f, e1)), _order(d, e1))
+
+    def generators(self, q) -> list[Elt]:
+        return [elt(a=q.a, d=q.d, f=q.f, b=q.b, e=q.e), elt(b=q.b1),
+                elt(e=q.e1)]
+
+    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+        (a, d, f) = moved.level1_rows[0]
+        b1, e1 = _split_level2(moved)
+        (b, e) = canon[0]
+        return (a, d, f, b, e, b1, e1)
+
+    def subset(self, q) -> str:
+        a, d, f, b, e, b1, e1 = q[:7]
+        if q[:7] == (0, 1, 0, 0, 0, 1, 1):
+            return "A"
+        if d == 0:
+            raise NoSubsetError("no subset: requires d != 0")
+        if a == 0 and f == 0:
+            raise NoSubsetError("no subset: only (0, 1, 0, 0, 0, 1, 1) is "
+                                "admissible with a = f = 0")
+        if a != 0 and f != 0:
+            if b1 == 0 or e1 == 0:
+                raise NoSubsetError("no subset: requires b', e' != 0")
+            if abs(b) >= abs(b1) or abs(e) >= abs(e1):
+                raise NoSubsetError(
+                    "no subset: requires |b| < |b'| and |e| < |e'|")
+            return "S1"
+        if a != 0:  # f == 0
+            if b1 != 1:
+                raise NoSubsetError("no subset: requires b' = 1 when f = 0")
+            if b != 0:
+                raise NoSubsetError("no subset: requires b = 0 when f = 0")
+            if e1 == 0 or abs(e) >= abs(e1):
+                raise NoSubsetError("no subset: requires |e| < |e'|, e' != 0")
+            return "S2"
+        # a == 0, f != 0
+        if e1 != 1:
+            raise NoSubsetError("no subset: requires e' = 1 when a = 0")
+        if e != 0:
+            raise NoSubsetError("no subset: requires e = 0 when a = 0")
+        if b1 == 0 or abs(b) >= abs(b1):
+            raise NoSubsetError("no subset: requires |b| < |b'|, b' != 0")
+        return "S3"
+
+    def conditions(self, q, subset: str, v: dict, chi: Character) -> list[dict]:
+        lam, z, w = v["lambda"], v["z"], v["w"]
+        if subset == "A":
+            free = not lam.is_root_of_unity
+            generic = not z.is_root_of_unity and not w.is_root_of_unity
+            return [_cond("central value off torsion, or both level-2 values "
+                          "off torsion", free or generic)]
+        nu = lam.value_order()
+        conds = [_central_finite(lam, nu)]
+        if nu is not None:
+            conds.append(_cond("b' matches the central order against f",
+                               abs(q.b1) == _order(q.f, nu), f"order {nu}"))
+            conds.append(_cond("e' matches the central order against a",
+                               abs(q.e1) == _order(q.a, nu), f"order {nu}"))
+        conds.append(_cond("first level-2 value is not a root of unity",
+                           not z.is_root_of_unity))
+        conds.append(_cond("second level-2 value is not a root of unity",
+                           not w.is_root_of_unity))
+        return conds
+
+    def normalizer(self, q, subset: str) -> list[Elt]:
+        if subset == "A":
+            return [elt(a=1), elt(f=1)]
+        return [elt(d=q.d1_), elt(f=q.f1_)]
+
+    def action(self, q, subset: str, gi: int, v: dict):
+        a, d, f, b, e, b1, e1, d1_, f1_ = q
+        t, z, w, lam = v["t"], v["z"], v["w"], v["lambda"]
         if subset == "A":
             if gi == 0:
                 return [t * z, z, w * lam]
             return [t * w ** (-1), z * lam ** (-1), w]
         if subset == "S3":
             return None  # mirrored, computed from first principles
-        d1_ = _lcm(_div(abs(b1), _gcd(a, b1)), _div(abs(e1), _gcd(f, e1)))
-        f1_ = _div(abs(e1), _gcd(d, e1))
         if gi == 0:
-            return [t * z ** (-_div(a * d1_, b1)) * w ** _div(f * d1_, e1), z, w]
+            return [t * z ** (-_div(a * d1_, b1)) * w ** _div(f * d1_, e1),
+                    z, w]
         return [t * w ** (-_div(f1_ * d, e1)) * lam ** (-b * f1_),
                 z * lam ** (-b1 * f1_), w]
-    if ranks == (2, 2):
-        a, f, b, e, d1, f1, b1, e1, b2, e2 = p
-        t, s, z, w = v["t"], v["s"], v["z"], v["w"]
+
+    def strata(self, q, subset: str, v: dict) -> list:
+        a, d, f, b, e, b1, e1, d1_, f1_ = q
+        lam_cls = v["lambda"].modulus_class()
+        ztor, wtor = v["z"].is_root_of_unity, v["w"].is_root_of_unity
+        if subset != "A":
+            u = _mono(("z", -_div(a * d1_, b1)), ("w", _div(f * d1_, e1)))
+            vv = _mono(("w", _div(f1_ * d, e1)), ("lambda", b * f1_))
+            return [([_tt(u, vv), _cstar("nontorsion"), _cstar("nontorsion"),
+                      _mun(_gcd(a * e1, f * b1))],
+                     lam_cls == "torsion" and not ztor and not wtor,
+                     "lambda torsion, z and w not torsion")]
+        tw = _tt("z", "w")
+        rows = []
+        for zt, wt, first, tail in ((False, False, tw, "z and w not torsion"),
+                                    (False, True, _ell("z"), "w torsion only"),
+                                    (True, False, _ell("w"), "z torsion only"),
+                                    (True, True, _cstar(), "z and w torsion")):
+            kinds = ["torsion" if zt else "nontorsion",
+                     "torsion" if wt else "nontorsion"]
+            rows += _lambda_rows(
+                lam_cls, lambda fib: [first] + [fib("lambda", k) for k in kinds],
+                (ztor, wtor) == (zt, wt), ", " + tail)
+        return rows + [([tw, _cstar("nontorsion"), _cstar("nontorsion"), _muinf()],
+                        lam_cls == "torsion",
+                        "lambda torsion (z, w forced non-torsion)")]
+
+    def central_orders(self, q, bound: int) -> list[int]:
+        a, f, b1, e1 = q.a, q.f, q.b1, q.e1
+        cap = min(bound, abs(b1 * e1) * max(abs(a), 1) * max(abs(f), 1))
+        return [nu for nu in range(1, cap + 1)
+                if abs(b1) == _order(f, nu) and abs(e1) == _order(a, nu)]
+
+    def samples(self, q, subset: str) -> list[dict]:
+        if subset == "A":
+            return [
+                {"t": _sym("t"), "z": _sym("z"), "w": _sym("w"),
+                 "lambda": _sym("lam")},
+                {"t": _sym("t"), "z": _sym("z"), "w": _sym("w"),
+                 "lambda": root_of_unity(1, 5)},
+            ]
+        return [{"t": _sym("t"), "z": _sym("z"), "w": _sym("w"),
+                 "lambda": root_of_unity(1, nu)}
+                for nu in self.central_orders(q, 2000)[:2]]
+
+    def f_moves(self, q, subset: str, vals: dict):
+        if subset == "A":
+            return
+        a, d, f, b, e, b1, e1 = q[:7]
+        t, z, w, lam = vals["t"], vals["z"], vals["w"], vals["lambda"]
+        if (b, e) != (0, 0):
+            t2 = t * z ** Fraction(-b, b1) * w ** Fraction(-e, e1)
+            yield ((a, d, f, 0, 0, b1, e1),
+                   {"t": t2, "z": z, "w": w, "lambda": lam},
+                   "clearing the level-2 residues of the first generator")
+        for m in intlin.divisors(_gcd(a, d, f))[1:]:
+            # adjust the residues so the m-th root closes over the lattice
+            a2, d2, f2 = a // m, d // m, f // m
+            bshift = (m * (m - 1) // 2) * a2 * d2
+            eshift = (m * (m - 1) // 2) * d2 * f2
+            for beta in range(abs(b1)):
+                if (m * beta + bshift - b) % b1 if b1 else (m * beta + bshift - b):
+                    continue
+                for eps in range(abs(e1)):
+                    if (m * eps + eshift - e) % e1 if e1 else (m * eps + eshift - e):
+                        continue
+                    qb = _div(m * beta + bshift - b, b1)
+                    qe = _div(m * eps + eshift - e, e1)
+                    for root in (t * z ** qb * w ** qe).roots(m):
+                        yield ((a2, d2, f2, beta, eps, b1, e1),
+                               {"t": root, "z": z, "w": w, "lambda": lam},
+                               f"root extraction of order {m} on the "
+                               "level-1 generator")
+        for m in intlin.divisors(b1)[1:]:
+            for root in z.roots(m):
+                yield ((a, d, f, b, e, b1 // m, e1),
+                       {"t": t, "z": root, "w": w, "lambda": lam},
+                       f"root extraction of order {m} on the first level-2 "
+                       "generator")
+        for m in intlin.divisors(e1)[1:]:
+            for root in w.roots(m):
+                yield ((a, d, f, b, e, b1, e1 // m),
+                       {"t": t, "z": z, "w": root, "lambda": lam},
+                       f"root extraction of order {m} on the second level-2 "
+                       "generator")
+
+
+class _Case22(RankCase):
+    """(2, 2): two level-1 generators over a full-rank level-2 lattice."""
+
+    Params = namedtuple("Params22",
+                        "a f b e d1 f1 b1 e1 b2 e2 ft at dt cexp m1 m2 nn")
+
+    def derive(self, a, f, b, e, d1, f1, b1, e1, b2, e2):
+        # ft, at, dt: the normalizer exponents of subsets S1/S2, S3 and S4;
+        # the character is z**m1 * w**m2 * lambda**cexp on the commutator of
+        # the level-1 generators; nn is the order of the central pairing
+        return self.Params(
+            a, f, b, e, d1, f1, b1, e1, b2, e2,
+            _order(d1, e2), _order(d1, b2), _lcm(_order(a, b2), _order(f1, e2)),
+            a * e1 + b * f1 - b1 * f - a * d1 * f - a * d1 * f1,
+            _quot(a * d1, b2), -_quot(d1 * f, e2), _gcd(f1 * b2, a * e2, f * b2))
+
+    def generators(self, q) -> list[Elt]:
+        return [elt(a=q.a, f=q.f, b=q.b, e=q.e),
+                elt(d=q.d1, f=q.f1, b=q.b1, e=q.e1), elt(b=q.b2), elt(e=q.e2)]
+
+    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+        b2, e2 = _split_level2(moved)
+        rows1 = moved.level1_rows
+        piv = _pivot_cols(rows1)
+        if piv == (0, 1):
+            (a, x, f), (_, d1, f1) = rows1
+            if x:
+                raise CaseStructureError(
+                    "violates case structure: the leading level-1 row has "
+                    "a diagonal-gap component")
+            (b, e), (b1, e1) = canon
+            return (a, f, b, e, d1, f1, b1, e1, b2, e2)
+        if piv == (0, 2):
+            (a, x, y), (_, _, f1) = rows1
+            if x or y:
+                raise CaseStructureError(
+                    "violates case structure: the leading level-1 row is "
+                    "not a pure axis")
+            (b, e), (b1, e1) = canon
+            return (a, 0, b, e, 0, f1, b1, e1, b2, e2)
+        # the HNF of a rank-2 lattice has two pivots: the last pattern (1, 2)
+        (_, d1, z), (_, _, f) = rows1
+        if z:
+            raise CaseStructureError(
+                "violates case structure: the middle level-1 row has "
+                "a trailing component")
+        (b1, e1), (b, e) = canon
+        return (0, f, b, e, d1, 0, b1, e1, b2, e2)
+
+    def subset(self, q) -> str:
+        a, f, b, e, d1, f1, b1, e1, b2, e2 = q[:10]
+        if a != 0 and f != 0 and d1 != 0 and f1 != 0:
+            if b2 == 0 or e2 == 0:
+                raise NoSubsetError("no subset: requires b'', e'' != 0")
+            if d1 * a % b2 or d1 * f % e2:
+                raise NoSubsetError(
+                    "no subset: requires b'' | d'*a and e'' | d'*f")
+            if max(abs(b), abs(b1)) >= abs(b2) or max(abs(e), abs(e1)) >= abs(e2):
+                raise NoSubsetError("no subset: requires |b|, |b'| < |b''| "
+                                    "and |e|, |e'| < |e''|")
+            return "S1"
+        if a != 0 and d1 != 0 and f == 0 and f1 == 0:
+            if b2 != 1 or b != 0 or b1 != 0:
+                raise NoSubsetError("no subset: requires b'' = 1 and "
+                                    "b = b' = 0 when f = f' = 0")
+            if e2 == 0 or max(abs(e), abs(e1)) >= abs(e2):
+                raise NoSubsetError(
+                    "no subset: requires |e|, |e'| < |e''|, e'' != 0")
+            return "S2"
+        if a == 0 and f != 0 and d1 != 0 and f1 == 0:
+            if e2 != 1 or e != 0 or e1 != 0:
+                raise NoSubsetError("no subset: requires e'' = 1 and "
+                                    "e = e' = 0 when a = f' = 0")
+            if b2 == 0 or max(abs(b), abs(b1)) >= abs(b2):
+                raise NoSubsetError(
+                    "no subset: requires |b|, |b'| < |b''|, b'' != 0")
+            return "S3"
+        if a != 0 and f1 != 0 and d1 == 0 and f == 0:
+            if b2 == 0 or e2 == 0:
+                raise NoSubsetError("no subset: requires b'', e'' != 0")
+            if max(abs(b), abs(b1)) >= abs(b2) or max(abs(e), abs(e1)) >= abs(e2):
+                raise NoSubsetError("no subset: requires |b|, |b'| < |b''| "
+                                    "and |e|, |e'| < |e''|")
+            return "S4"
+        raise NoSubsetError(
+            "no subset: level-1 zero pattern matches none of the four "
+            "admissible degenerations (need a,f,d',f' all nonzero; or "
+            "f = f' = 0; or a = f' = 0; or d' = f = 0)")
+
+    def conditions(self, q, subset: str, v: dict, chi: Character) -> list[dict]:
+        lam = v["lambda"]
+        nu = lam.value_order()
+        conds = [_central_finite(lam, nu)]
+        if nu is not None:
+            conds.append(_cond(
+                "b'' matches the central order against (f, f')",
+                abs(q.b2) == _lcm(_order(q.f, nu), _order(q.f1, nu)),
+                f"order {nu}"))
+            conds.append(_cond("e'' matches the central order against a",
+                               abs(q.e2) == _order(q.a, nu), f"order {nu}"))
+        conds.append(_kills_commutator(chi, self.generators(q)))
+        conds.append(_cond("level-2 values are not both torsion",
+                           not (v["z"].is_root_of_unity
+                                and v["w"].is_root_of_unity)))
+        return conds
+
+    def normalizer(self, q, subset: str) -> list[Elt]:
         if subset in ("S1", "S2"):
-            ft = _div(abs(e2), _gcd(d1, e2))
+            return [elt(f=q.ft)]
+        if subset == "S3":
+            return [elt(a=q.at)]
+        return [elt(d=q.dt, f=1)]  # S4
+
+    def action(self, q, subset: str, gi: int, v: dict):
+        a, f, b, e, d1, f1, b1, e1, b2, e2, ft, at, dt = q[:13]
+        t, s, z, w, lam = v["t"], v["s"], v["z"], v["w"], v["lambda"]
+        if subset in ("S1", "S2"):
             return [t * lam ** (-b * ft),
                     s * w ** (-_div(d1 * ft, e2)) * lam ** (-b1 * ft),
                     z * lam ** (-b2 * ft), w]
         if subset == "S3":
             return None  # mirrored, computed from first principles
-        dt = _lcm(_div(abs(b2), _gcd(a, b2)), _div(abs(e2), _gcd(f1, e2)))
         return [t * z ** (-_div(a * dt, b2)) * lam ** (a * dt - b),
                 s * w ** _div(f1 * dt, e2) * lam ** (-b1),
                 z * lam ** (-b2), w]
-    return None  # (3, 2): computed from first principles
 
-
-def printed_action_variant(ranks, subset: str, params, gi: int, v: dict):
-    """Alternate displayed reading where the typeset closed form differs
-    from the verified one; (note, values) or None."""
-    p = _check_length(ranks, params)
-    lam = v["lambda"]
-    if ranks == (1, 1) and subset in ("S1", "S3", "S4") and gi == 0:
-        a, d, f, b, e = p
-        n = _gcd(a, f)
-        a1, f1 = a // n, f // n
-        return ("displayed central exponent reads a'e + f'b + a'f'd; the "
-                "computed one carries (1 - gcd(a, f)) on the a'f'd term",
-                [v["t"] * v["z"] ** d * lam ** (a1 * e + f1 * b + a1 * f1 * d),
-                 v["z"] * lam ** (2 * a1 * f1)])
-    if ranks == (2, 0):
-        a, b, e, f1, b1, e1 = p
-        t, s = v["t"], v["s"]
-        if gi == 0:
-            return ("displayed form attaches the lambda^f' factor to the first "
-                    "generator instead of the second", [t * lam ** f1, s])
-        return ("displayed form attaches the lambda^-a factor to the second "
-                "generator instead of the first", [t, s * lam ** (-a)])
-    if ranks == (2, 2) and subset == "S4":
-        a, f, b, e, d1, f1, b1, e1, b2, e2 = p
-        t, s, z, w = v["t"], v["s"], v["z"], v["w"]
-        dt = _lcm(_div(abs(b2), _gcd(a, b2)), _div(abs(e2), _gcd(f1, e2)))
+    def printed(self, q, subset: str, gi: int, v: dict):
+        if subset != "S4":
+            return None
         return ("displayed form omits the central factors and reverses the "
                 "w-exponent sign",
-                [t * z ** (-_div(a * dt, b2)), s * w ** (-_div(f1 * dt, e2)),
-                 z, w])
-    return None
+                [v["t"] * v["z"] ** (-_div(q.a * q.dt, q.b2)),
+                 v["s"] * v["w"] ** (-_div(q.f1 * q.dt, q.e2)), v["z"], v["w"]])
 
-
-# ---------------------------------------------------------------------------
-# stratum tables
-
-
-def strata_table(ranks, subset: str, params, v: dict) -> list[tuple[StratumRow, bool]]:
-    """All stratum rows for the subset with the selector evaluated on the
-    given character values; rows are 1-based in table order."""
-    p = _check_length(ranks, params)
-    lam = v["lambda"]
-    lam_cls = lam.modulus_class()  # off_circle / circle_free / torsion
-    out: list[tuple[StratumRow, bool]] = []
-
-    def add(fibers, matched, selector):
-        out.append((StratumRow(len(out) + 1, tuple(fibers), selector), matched))
-
-    if ranks == (1, 1):
-        a, d, f, b, e = p
-        n = _gcd(a, f)
-        a1, f1 = a // n, f // n
-        ztor = v["z"].is_root_of_unity
-        if subset in ("S1",):
-            lexp = a1 * e + f1 * b + (1 - n) * a1 * f1 * d
-            tw = _mono(("z", d), ("lambda", lexp))
-            zq = _mono(("lambda", 2 * a1 * f1))
-            g = _mono(("lambda", _gcd(lexp, a)))
-            add([_tt(tw, _mono(("lambda", a))), _ell(zq, "nontorsion"), _LAM_OFF],
-                lam_cls == "off_circle" and not ztor,
-                "lambda off the circle, z not torsion")
-            add([_tt(tw, _mono(("lambda", a))), _pp(zq, "nontorsion"), _LAM_CIRC],
-                lam_cls == "circle_free" and not ztor,
-                "lambda on the circle, z not torsion")
-            add([_ell(g), _muinf(), _LAM_OFF],
-                lam_cls == "off_circle" and ztor,
-                "lambda off the circle, z torsion")
-            add([_pp(g), _muinf(), _LAM_CIRC],
-                lam_cls == "circle_free" and ztor,
-                "lambda on the circle, z torsion")
-        elif subset in ("S2", "S3"):
-            lam_exp = f1 * b if subset == "S2" else a1 * e
-            axis = f if subset == "S2" else a
-            tw1 = _mono(("z", d), ("lambda", lam_exp))
-            tw2 = _mono(("lambda", axis))
-            g = _mono(("lambda", _gcd(lam_exp, axis)))
-            zcls = v["z"].modulus_class()
-            add([_tt(tw1, tw2), _cstar("off_circle"), _LAM_OFF],
-                lam_cls == "off_circle" and zcls == "off_circle",
-                "z off the circle, lambda off the circle")
-            add([_tt(tw1, tw2), _cstar("circle_nontorsion"), _LAM_OFF],
-                lam_cls == "off_circle" and zcls == "circle_free",
-                "z on the circle non-torsion, lambda off the circle")
-            add([_ell(g), _muinf(), _LAM_OFF],
-                lam_cls == "off_circle" and ztor,
-                "z torsion, lambda off the circle")
-            add([_tt(tw1, tw2), _cstar("nontorsion"), _LAM_CIRC],
-                lam_cls == "circle_free" and not ztor,
-                "z not torsion, lambda on the circle")
-            add([_pp(g), _muinf(), _LAM_CIRC],
-                lam_cls == "circle_free" and ztor,
-                "z torsion, lambda on the circle")
-        elif subset == "S4":
-            g = _mono(("lambda", _gcd(a1 * e + f1 * b, a)))
-            zq = _mono(("lambda", 2 * a1 * f1))
-            add([_ell(g), _ell(zq), _LAM_OFF], lam_cls == "off_circle",
-                "lambda off the circle")
-            add([_pp(g), _pp(zq), _LAM_CIRC], lam_cls == "circle_free",
-                "lambda on the circle")
-        else:  # N1 / N2
-            axis = a if subset == "N1" else f
-            tw = _tt(_mono(("z", axis)), _mono(("lambda", axis)))
-            add([tw, _ell("lambda", "nontorsion"), _LAM_OFF],
-                lam_cls == "off_circle" and not ztor,
-                "lambda off the circle, z not torsion")
-            add([_ell("lambda"), _muinf(), _LAM_OFF],
-                lam_cls == "off_circle" and ztor,
-                "lambda off the circle, z torsion")
-            add([tw, _pp("lambda", "nontorsion"), _LAM_CIRC],
-                lam_cls == "circle_free" and not ztor,
-                "lambda on the circle, z not torsion")
-            add([_pp("lambda"), _muinf(), _LAM_CIRC],
-                lam_cls == "circle_free" and ztor,
-                "lambda on the circle, z torsion")
-    elif ranks == (2, 0):
-        a, b, e, f1, b1, e1 = p
-        add([_ell(_mono(("lambda", f1))), _ell(_mono(("lambda", a))), _LAM_OFF],
-            lam_cls == "off_circle", "lambda off the circle")
-        add([_pp(_mono(("lambda", f1))), _pp(_mono(("lambda", a))), _LAM_CIRC],
-            lam_cls == "circle_free", "lambda on the circle")
-    elif ranks == (2, 1):
-        a, e, d1, e1 = p
-        add([_ell(_mono(("lambda", a))), _cstar(), _mun(a * d1), _LAM_OFF],
-            lam_cls == "off_circle", "lambda off the circle")
-        add([_pp(_mono(("lambda", a))), _cstar(), _mun(a * d1), _LAM_CIRC],
-            lam_cls == "circle_free", "lambda on the circle")
-    elif ranks == (1, 2):
-        a, d, f, b, e, b1, e1 = p
-        if subset == "A":
-            ztor = v["z"].is_root_of_unity
-            wtor = v["w"].is_root_of_unity
-            tw = _tt("z", "w")
-            add([tw, _ell("lambda", "nontorsion"), _ell("lambda", "nontorsion"),
-                 _LAM_OFF],
-                lam_cls == "off_circle" and not ztor and not wtor,
-                "lambda off the circle, z and w not torsion")
-            add([tw, _pp("lambda", "nontorsion"), _pp("lambda", "nontorsion"),
-                 _LAM_CIRC],
-                lam_cls == "circle_free" and not ztor and not wtor,
-                "lambda on the circle, z and w not torsion")
-            add([_ell("z"), _ell("lambda", "nontorsion"), _ell("lambda", "torsion"),
-                 _LAM_OFF],
-                lam_cls == "off_circle" and not ztor and wtor,
-                "lambda off the circle, w torsion only")
-            add([_ell("z"), _pp("lambda", "nontorsion"), _pp("lambda", "torsion"),
-                 _LAM_CIRC],
-                lam_cls == "circle_free" and not ztor and wtor,
-                "lambda on the circle, w torsion only")
-            add([_ell("w"), _ell("lambda", "torsion"), _ell("lambda", "nontorsion"),
-                 _LAM_OFF],
-                lam_cls == "off_circle" and ztor and not wtor,
-                "lambda off the circle, z torsion only")
-            add([_ell("w"), _pp("lambda", "torsion"), _pp("lambda", "nontorsion"),
-                 _LAM_CIRC],
-                lam_cls == "circle_free" and ztor and not wtor,
-                "lambda on the circle, z torsion only")
-            add([_cstar(), _ell("lambda", "torsion"), _ell("lambda", "torsion"),
-                 _LAM_OFF],
-                lam_cls == "off_circle" and ztor and wtor,
-                "lambda off the circle, z and w torsion")
-            add([_cstar(), _pp("lambda", "torsion"), _pp("lambda", "torsion"),
-                 _LAM_CIRC],
-                lam_cls == "circle_free" and ztor and wtor,
-                "lambda on the circle, z and w torsion")
-            add([tw, _cstar("nontorsion"), _cstar("nontorsion"), _muinf()],
-                lam_cls == "torsion",
-                "lambda torsion (z, w forced non-torsion)",)
-        else:
-            d1_ = _lcm(_div(abs(b1), _gcd(a, b1)), _div(abs(e1), _gcd(f, e1)))
-            f1_ = _div(abs(e1), _gcd(d, e1))
-            u = _mono(("z", -_div(a * d1_, b1)), ("w", _div(f * d1_, e1)))
-            vv = _mono(("w", _div(f1_ * d, e1)), ("lambda", b * f1_))
-            nn = _gcd(a * e1, f * b1)
-            add([_tt(u, vv), _cstar("nontorsion"), _cstar("nontorsion"), _mun(nn)],
-                lam_cls == "torsion"
-                and not v["z"].is_root_of_unity and not v["w"].is_root_of_unity,
-                "lambda torsion, z and w not torsion")
-    elif ranks == (2, 2):
-        out.extend(_strata_22(subset, p, v))
-    elif ranks == (3, 2):
-        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = p
-        n3 = _gcd(f2 * b3, a * e2 + b * f2, a * e3)
-        ok = lam_cls == "torsion"
-        n1 = n2 = 0
-        if ok:
-            n1 = abs(_div(d1 * a, b3)) * (lam ** (a * e1)).value_order()
-            n2 = abs(_div(d1 * f2, e3)) * (lam ** (b1 * f2)).value_order()
-        add([_cstar(), _cstar(), _cstar(), _mun(n1), _mun(n2), _mun(n3)],
-            ok, "central value torsion")
-    else:
-        raise ValueError(f"unknown rank pair {ranks}")
-    return out
-
-
-def _strata_22(subset: str, p, v: dict) -> list[tuple[StratumRow, bool]]:
-    a, f, b, e, d1, f1, b1, e1, b2, e2 = p
-    lam = v["lambda"]
-    z, w = v["z"], v["w"]
-    zc, wc = z.modulus_class(), w.modulus_class()
-    rows: list[tuple[StratumRow, bool]] = []
-
-    def add(fibers, matched, selector):
-        rows.append((StratumRow(len(rows) + 1, tuple(fibers), selector), matched))
-
-    if subset in ("S1", "S2"):
-        ft = _div(abs(e2), _gcd(d1, e2))
-        sq = _mono(("w", _div(d1 * ft, e2)))
+    def strata(self, q, subset: str, v: dict) -> list:
+        a, f, b, e, d1, f1, b1, e1, b2, e2, ft, at, dt = q[:13]
+        lam = v["lambda"]
+        zc, wc = v["z"].modulus_class(), v["w"].modulus_class()
         if subset == "S1":
-            nn = _gcd(f1 * b2, a * e2, f * b2)
-            add([_cstar(), _ell(sq), _curve(), _mun(nn)],
-                wc == "off_circle", "w off the circle")
-            add([_cstar(), _pp(sq), _curve(singular=True), _mun(nn)],
-                wc == "circle_free", "w on the circle non-torsion")
-        else:
+            sq = _mono(("w", _div(d1 * ft, e2)))
+            return [([_cstar(), _ell(sq), _curve(), _mun(q.nn)],
+                     wc == "off_circle", "w off the circle"),
+                    ([_cstar(), _pp(sq), _curve(singular=True), _mun(q.nn)],
+                     wc == "circle_free", "w on the circle non-torsion")]
+        if subset == "S2":
+            sq = _mono(("w", _div(d1 * ft, e2)))
             n2v = 0
             if lam.is_root_of_unity:
-                n2v = abs(_div(d1 * a, b2)) * (lam ** (a * e1)).value_order()
-            add([_cstar(), _ell(sq), _mun(n2v), _cstar("off_circle"),
-                 _mun(a * e2)],
-                wc == "off_circle", "w off the circle")
-            add([_cstar(), _pp(sq), _mun(n2v), _cstar("circle_nontorsion"),
-                 _mun(a * e2)],
-                wc == "circle_free", "w on the circle non-torsion")
-    elif subset == "S3":
-        at = _div(abs(b2), _gcd(d1, b2))
-        tq = _mono(("z", _div(d1 * at, b2)))
-        n3v = 0
-        if lam.is_root_of_unity:
-            n3v = abs(_div(d1 * f, e2)) * (lam ** (f * b1)).value_order()
-        add([_cstar(), _ell(tq), _cstar("off_circle"), _mun(n3v), _mun(f * b2)],
-            zc == "off_circle", "z off the circle")
-        add([_cstar(), _pp(tq), _cstar("circle_nontorsion"), _mun(n3v),
-             _mun(f * b2)],
-            zc == "circle_free", "z on the circle non-torsion")
-    else:  # S4
-        dt = _lcm(_div(abs(b2), _gcd(a, b2)), _div(abs(e2), _gcd(f1, e2)))
+                n2v = abs(q.m1) * (lam ** (a * e1)).value_order()
+            return [([_cstar(), _ell(sq), _mun(n2v), _cstar("off_circle"),
+                      _mun(a * e2)], wc == "off_circle", "w off the circle"),
+                    ([_cstar(), _pp(sq), _mun(n2v), _cstar("circle_nontorsion"),
+                      _mun(a * e2)], wc == "circle_free",
+                     "w on the circle non-torsion")]
+        if subset == "S3":
+            tq = _mono(("z", _div(d1 * at, b2)))
+            n3v = 0
+            if lam.is_root_of_unity:
+                n3v = abs(q.m2) * (lam ** (f * b1)).value_order()
+            return [([_cstar(), _ell(tq), _cstar("off_circle"), _mun(n3v),
+                      _mun(f * b2)], zc == "off_circle", "z off the circle"),
+                    ([_cstar(), _pp(tq), _cstar("circle_nontorsion"), _mun(n3v),
+                      _mun(f * b2)], zc == "circle_free",
+                     "z on the circle non-torsion")]
+        # S4
         zq = _mono(("z", _div(a * dt, b2)))
         wq = _mono(("w", _div(f1 * dt, e2)))
         nn = _gcd(f1 * b2, a * e2)
@@ -872,180 +1195,44 @@ def _strata_22(subset: str, p, v: dict) -> list[tuple[StratumRow, bool]]:
         names = {"off_circle": "off the circle",
                  "circle_free": "on the circle non-torsion",
                  "torsion": "torsion"}
-        for zk, wk in combos:
-            add([tslot[zk], sslot[wk], zslot[zk], zslot[wk], _mun(nn)],
-                zc == zk and wc == wk, f"z {names[zk]}, w {names[wk]}")
-    return rows
+        return [([tslot[zk], sslot[wk], zslot[zk], zslot[wk], _mun(nn)],
+                 zc == zk and wc == wk, f"z {names[zk]}, w {names[wk]}")
+                for zk, wk in combos]
 
-
-# ---------------------------------------------------------------------------
-# displayed relation identities (for the verification report)
-
-
-def relation_checks(ranks, subset: str, params):
-    """Displayed commutator identities: (name, element, exact word builder,
-    printed word builder or None).  Builders map the value dict to a
-    UnitValue; the exact one matches the element's decomposition."""
-    p = _check_length(ranks, params)
-    gens = defining_generators(ranks, p)
-    out = []
-    if ranks == (2, 1):
-        a, e, d1, e1 = p
-        out.append((
-            "commutator of the two level-1 generators",
-            commutator(gens[0], gens[1]),
-            lambda v: v["z"] ** (a * d1) * v["lambda"] ** (a * e1),
-            None,
-        ))
-    elif ranks == (2, 2):
-        a, f, b, e, d1, f1, b1, e1, b2, e2 = p
-        cexp = a * e1 + b * f1 - b1 * f - a * d1 * f - a * d1 * f1
-        out.append((
-            "commutator of the two level-1 generators",
-            commutator(gens[0], gens[1]),
-            lambda v: (v["z"] ** _div(a * d1, b2) * v["w"] ** (-_div(d1 * f, e2))
-                       * v["lambda"] ** cexp),
-            lambda v: (v["z"] ** (-_div(a * d1, b2)) * v["w"] ** (-_div(d1 * f, e2))
-                       * v["lambda"] ** cexp),
-        ))
+    def relations(self, q, subset: str, gens: list[Elt]) -> list:
+        out = [("commutator of the two level-1 generators",
+                commutator(gens[0], gens[1]),
+                lambda v: (v["z"] ** q.m1 * v["w"] ** q.m2
+                           * v["lambda"] ** q.cexp),
+                lambda v: (v["z"] ** (-q.m1) * v["w"] ** q.m2
+                           * v["lambda"] ** q.cexp))]
         if subset == "S4":
             out.append((
                 "commutator of the first generator with the last level-2 one",
                 commutator(gens[0], gens[3]),
-                lambda v: v["lambda"] ** (a * e2),
-                None,
-            ))
+                lambda v: v["lambda"] ** (q.a * q.e2), None))
             out.append((
                 "commutator of the second generator with the first level-2 one",
                 commutator(gens[1], gens[2]),
-                lambda v: v["lambda"] ** (-f1 * b2),
-                None,
-            ))
-    elif ranks == (3, 2):
-        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = p
-        out.append((
-            "commutator of the first two generators",
-            commutator(gens[0], gens[1]),
-            lambda v: v["z"] ** _div(a * d1, b3) * v["lambda"] ** (a * e1),
-            lambda v: v["z"] ** (-_div(a * d1, b3)) * v["lambda"] ** (-a * e1),
-        ))
-        out.append((
-            "commutator of the last two level-1 generators",
-            commutator(gens[1], gens[2]),
-            lambda v: v["w"] ** _div(d1 * f2, e3) * v["lambda"] ** (b1 * f2),
-            None,
-        ))
-        out.append((
-            "commutator of the outer level-1 generators",
-            commutator(gens[0], gens[2]),
-            lambda v: v["lambda"] ** (a * e2 + b * f2),
-            lambda v: v["lambda"] ** (-(a * e2 + b * f2)),
-        ))
-        out.append((
-            "commutator of the third generator with the first level-2 one",
-            commutator(gens[2], gens[3]),
-            lambda v: v["lambda"] ** (-f2 * b3),
-            lambda v: v["lambda"] ** (f2 * b3),
-        ))
-        out.append((
-            "commutator of the first generator with the second level-2 one",
-            commutator(gens[0], gens[4]),
-            lambda v: v["lambda"] ** (a * e3),
-            lambda v: v["lambda"] ** (-a * e3),
-        ))
-    return out
+                lambda v: v["lambda"] ** (-q.f1 * q.b2), None))
+        return out
 
-
-# ---------------------------------------------------------------------------
-# generic valid character samples (used by the verification oracle)
-
-
-def _sym(name: str, circle: bool = False) -> UnitValue:
-    return symbol_value(ValueSymbol(name, on_circle=circle))
-
-
-def _torsion_solution(m: int, target: UnitValue, j: int) -> UnitValue:
-    """A solution x of x**m = target, twisted by the j-th root of unity."""
-    return target ** Fraction(1, m) * root_of_unity(j, abs(m))
-
-
-def central_orders(ranks, subset: str, params, bound: int = 2000) -> list[int]:
-    """Central-value orders compatible with the level-2 exponents."""
-    p = _check_length(ranks, params)
-    if ranks == (1, 2):
-        a, d, f, b, e, b1, e1 = p
-        return [nu for nu in range(1, min(bound, abs(b1 * e1) * max(abs(a), 1)
-                                          * max(abs(f), 1)) + 1)
-                if abs(b1) == nu // _gcd(nu, f) and abs(e1) == nu // _gcd(nu, a)]
-    if ranks == (2, 2):
-        a, f, b, e, d1, f1, b1, e1, b2, e2 = p
+    def central_orders(self, q, bound: int) -> list[int]:
+        a, f, f1, b2, e2 = q.a, q.f, q.f1, q.b2, q.e2
         cap = min(bound, abs(b2 * e2) * max(abs(a), 1)
                   * max(abs(f), 1) * max(abs(f1), 1))
         return [nu for nu in range(1, cap + 1)
-                if abs(b2) == _lcm(nu // _gcd(nu, f), nu // _gcd(nu, f1))
-                and abs(e2) == nu // _gcd(nu, a)]
-    raise ValueError("central orders are parameter-determined only for the "
-                     "two level-2-saturated cases")
+                if abs(b2) == _lcm(_order(f, nu), _order(f1, nu))
+                and abs(e2) == _order(a, nu)]
 
-
-def character_samples(ranks, subset: str, params) -> list[Character]:
-    """Deterministic generic valid characters on the canonical subgroup.
-
-    Free directions get fresh symbols; constrained directions get exact
-    torsion solutions.  Every returned character is a valid homomorphism
-    and satisfies the case's irreducibility conditions.
-    """
-    p = _check_length(ranks, params)
-    gens = defining_generators(ranks, p) + [elt(c=1)]
-    sub = subgroup(gens)
-    names = COORD_NAMES[ranks] + ("lambda",)
-    assigns: list[dict[str, UnitValue]] = []
-    if ranks == (1, 1):
-        assigns = [
-            {"t": _sym("t"), "z": _sym("z"), "lambda": _sym("lam")},
-            {"t": _sym("t"), "z": root_of_unity(1, 3), "lambda": _sym("lam", True)},
-        ]
-    elif ranks == (2, 0):
-        assigns = [
-            {"t": _sym("t"), "s": _sym("s"), "lambda": _sym("lam")},
-            {"t": _sym("t", True), "s": _sym("s"), "lambda": _sym("lam", True)},
-        ]
-    elif ranks == (2, 1):
-        a, e, d1, e1 = p
-        k = _gcd(a, e) * _gcd(d1, e1)
-        tried = [(j, circ) for j in range(abs(a * d1) + 1) for circ in (False, True)]
-        for j, circ in tried:
-            lam = _sym("lam", circ)
-            z = _torsion_solution(a * d1, lam ** (-a * e1), j)
-            if subset == "S2":
-                w0 = z ** _div(a * d1, k) * lam ** _div(a * e1, k)
-                if w0.value_order() != k:
-                    continue
-            assigns.append({"t": _sym("t"), "r": _sym("r"), "z": z, "lambda": lam})
-            if len(assigns) >= 3:
-                break
-    elif ranks == (1, 2) and subset == "A":
-        assigns = [
-            {"t": _sym("t"), "z": _sym("z"), "w": _sym("w"), "lambda": _sym("lam")},
-            {"t": _sym("t"), "z": _sym("z"), "w": _sym("w"),
-             "lambda": root_of_unity(1, 5)},
-        ]
-    elif ranks == (1, 2):
-        a, d, f, b, e, b1, e1 = p
-        for nu in central_orders(ranks, subset, p)[:2]:
+    def samples(self, q, subset: str) -> list[dict]:
+        m1, m2 = q.m1, q.m2
+        out = []
+        for nu in self.central_orders(q, 2000)[:2]:
             lam = root_of_unity(1, nu)
-            assigns.append({"t": _sym("t"), "z": _sym("z"), "w": _sym("w"),
-                            "lambda": lam})
-    elif ranks == (2, 2):
-        a, f, b, e, d1, f1, b1, e1, b2, e2 = p
-        m1 = _div(a * d1, b2)
-        m2 = -_div(d1 * f, e2)
-        cexp = a * e1 + b * f1 - b1 * f - a * d1 * f - a * d1 * f1
-        for nu in central_orders(ranks, subset, p)[:2]:
-            lam = root_of_unity(1, nu)
-            target = lam ** (-cexp)
+            target = lam ** (-q.cexp)
             for j in (0, 1):
-                if subset in ("S1",):
+                if subset == "S1":
                     zv = _sym("z")
                     wv = (zv ** Fraction(-m1, m2) * target ** Fraction(1, m2)
                           * root_of_unity(j, abs(m2)))
@@ -1059,208 +1246,27 @@ def character_samples(ranks, subset: str, params) -> list[Character]:
                     if not target.is_one:
                         break  # no valid character for this order
                     zv = _sym("z") if j == 0 else root_of_unity(1, 7)
-                    wv = _sym("w") if j == 0 else _sym("w")
-                assigns.append({"t": _sym("t"), "s": _sym("s"), "z": zv,
-                                "w": wv, "lambda": lam})
-    elif ranks == (3, 2):
-        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = p
-        n3 = _gcd(f2 * b3, a * e2 + b * f2, a * e3)
-        m1, m2 = _div(a * d1, b3), _div(d1 * f2, e3)
-        for nu in ([n3] if n3 == 1 else [n3, 1]):
-            lam = root_of_unity(1, nu)
-            if not (lam ** (a * e2 + b * f2)).is_one:
-                continue
-            for j in (0, 1):
-                zv = _torsion_solution(m1, lam ** (-a * e1), j)
-                wv = _torsion_solution(m2, lam ** (-b1 * f2), j)
-                assigns.append({"t": _sym("t"), "r": _sym("r"), "s": _sym("s"),
-                                "z": zv, "w": wv, "lambda": lam})
-    chars = []
-    for a_ in assigns:
-        try:
-            chars.append(solve_character(sub, gens, [a_[n] for n in names]))
-        except ValueError:
-            continue
-    return chars
+                    wv = _sym("w")
+                out.append({"t": _sym("t"), "s": _sym("s"), "z": zv, "w": wv,
+                            "lambda": lam})
+        return out
 
-
-def character_from_values(ranks, params, vals: dict) -> Character:
-    """Character on build_subgroup(ranks, params) with the given values on
-    the defining generators (keys from COORD_NAMES plus "lambda")."""
-    p = _check_length(ranks, params)
-    gens = defining_generators(ranks, p) + [elt(c=1)]
-    values = [vals[name] for name in COORD_NAMES[ranks]]
-    return solve_character(subgroup(gens), gens,
-                           values + [vals.get("lambda", ONE)])
-
-
-# ---------------------------------------------------------------------------
-# parameter enumeration
-
-
-def enumerate_params(ranks, box: tuple[int, int], limit: int | None = None):
-    """Admissible tuples with all coordinates in [box[0], box[1]],
-    lexicographically ordered; limit caps the output length."""
-    lo, hi = int(box[0]), int(box[1])
-    if lo > hi:
-        return []
-    n = PARAM_LENGTH[ranks]
-    if ranks in ((2, 2), (3, 2)):
-        found = sorted(_enumerate_structured(ranks, lo, hi))
-    else:
-        found = []
-        for p in iproduct(range(lo, hi + 1), repeat=n):
-            try:
-                subset_of(ranks, p)
-            except NoSubsetError:
-                continue
-            found.append(p)
-    if limit is not None:
-        found = found[:limit]
-    return found
-
-
-def _enumerate_structured(ranks, lo: int, hi: int):
-    # the residue coordinates enter the subset conditions only through the
-    # bounds |residue| < |modulus| that the residue ranges already enforce,
-    # so the first tuple of each block of residues decides the whole block
-    rng = [x for x in range(lo, hi + 1)]
-    nz = [x for x in rng if x]
-    out = []
-    if ranks == (2, 2):
+    def enumerate(self, lo: int, hi: int) -> list:
+        rng = range(lo, hi + 1)
+        nz = [x for x in rng if x]
+        out = []
         for a, f, d1, f1 in iproduct(rng, rng, rng, rng):
             for b2, e2 in iproduct(nz, nz):
-                res_b = [x for x in rng if abs(x) < abs(b2)]
-                res_e = [x for x in rng if abs(x) < abs(e2)]
-                block = [(a, f, b, e, d1, f1, b1, e1, b2, e2)
-                         for b, e, b1, e1 in iproduct(res_b, res_e,
-                                                      res_b, res_e)]
-                if block and _admissible(ranks, block[0]):
+                res_b, res_e = _residues(rng, b2), _residues(rng, e2)
+                block = [(a, f, b, e, d1, f1, b1, e1, b2, e2) for b, e, b1, e1
+                         in iproduct(res_b, res_e, res_b, res_e)]
+                if block and self.admissible(block[0]):
                     out.extend(block)
-    else:  # (3, 2)
-        for a, d1, f2 in iproduct(nz, nz, nz):
-            for b3 in [x for x in nz if a * d1 % x == 0 and lo <= x <= hi]:
-                for e3 in [x for x in nz if d1 * f2 % x == 0 and lo <= x <= hi]:
-                    res_b = [x for x in rng if abs(x) < abs(b3)]
-                    res_e = [x for x in rng if abs(x) < abs(e3)]
-                    block = [(a, b, e, d1, b1, e1, f2, b2, e2, b3, e3)
-                             for b, b1, b2 in iproduct(res_b, repeat=3)
-                             for e, e1, e2 in iproduct(res_e, repeat=3)]
-                    if block and _admissible(ranks, block[0]):
-                        out.extend(block)
-    return out
+        return sorted(out)
 
-
-def _admissible(ranks, p) -> bool:
-    try:
-        subset_of(ranks, p)
-    except NoSubsetError:
-        return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# equivalence moves
-
-
-def conjugation_move(ranks, params, shift: int):
-    """The residue-shifting conjugation move: (conjugator, new params).
-
-    Conjugating the canonical subgroup by the returned element yields the
-    canonical subgroup of the returned tuple.
-    """
-    p = _check_length(ranks, params)
-    if ranks == (1, 1):
-        a, d, f, b, e = p
-        return elt(d=shift), (a, d, f, b - a * shift, e + f * shift)
-    if ranks == (2, 0):
-        a, b, e, f1, b1, e1 = p
-        return elt(d=shift), (a, b - a * shift, e, f1, b1, e1 + f1 * shift)
-    if ranks == (2, 1):
-        a, e, d1, e1 = p
-        return elt(f=shift), (a, e, d1, e1 - d1 * shift)
-    raise ValueError(
-        "the tabulated residue-shifting move exists for rank pairs "
-        "(1,1), (2,0) and (2,1) only")
-
-
-def f_move_candidates(ranks, subset: str, params, vals: dict, cap: int = 64):
-    """Finite root/residue replacement candidates: (params, values, note).
-
-    Candidate tuples share the isolator with the input; the caller is
-    responsible for filtering by validity and restriction agreement.
-    """
-    p = _check_length(ranks, params)
-    out: list[tuple[tuple, dict, str]] = []
-    lam = vals["lambda"]
-    if ranks == (2, 1):
-        a, e, d1, e1 = p
-        t, r, z = vals["t"], vals["r"], vals["z"]
-        k1, k2 = _gcd(a, e), _gcd(d1, e1)
-        for m in range(2, k1 + 1):
-            if k1 % m:
-                continue
-            p2 = (a // m, e // m, d1 * m, e1 * m)
-            for root in t.roots(m):
-                out.append((p2, {"t": root, "r": r ** m, "z": z, "lambda": lam},
-                            f"root extraction of order {m} on the first generator"))
-        for m in range(2, k2 + 1):
-            if k2 % m:
-                continue
-            p2 = (a * m, e * m, d1 // m, e1 // m)
-            for root in r.roots(m):
-                out.append((p2, {"t": t ** m, "r": root, "z": z, "lambda": lam},
-                            f"root extraction of order {m} on the second generator"))
-    elif ranks == (1, 2) and subset != "A":
-        a, d, f, b, e, b1, e1 = p
-        t, z, w = vals["t"], vals["z"], vals["w"]
-        if (b, e) != (0, 0):
-            p2 = (a, d, f, 0, 0, b1, e1)
-            t2 = t * z ** Fraction(-b, b1) * w ** Fraction(-e, e1)
-            out.append((p2, {"t": t2, "z": z, "w": w, "lambda": lam},
-                        "clearing the level-2 residues of the first generator"))
-        k1 = _gcd(a, d, f)
-        for m in range(2, k1 + 1):
-            if k1 % m:
-                continue
-            # adjust the residues so the m-th root closes over the lattice
-            a2, d2, f2 = a // m, d // m, f // m
-            bshift = (m * (m - 1) // 2) * a2 * d2
-            eshift = (m * (m - 1) // 2) * d2 * f2
-            for beta in range(abs(b1)):
-                if (m * beta + bshift - b) % b1 if b1 else (m * beta + bshift - b):
-                    continue
-                for eps in range(abs(e1)):
-                    if (m * eps + eshift - e) % e1 if e1 else (m * eps + eshift - e):
-                        continue
-                    p2 = (a2, d2, f2, beta, eps, b1, e1)
-                    qb = _div(m * beta + bshift - b, b1)
-                    qe = _div(m * eps + eshift - e, e1)
-                    base = t * z ** qb * w ** qe
-                    for root in base.roots(m):
-                        out.append((p2, {"t": root, "z": z, "w": w, "lambda": lam},
-                                    f"root extraction of order {m} on the "
-                                    "level-1 generator"))
-        for m in range(2, abs(b1) + 1):
-            if b1 % m:
-                continue
-            for root in z.roots(m):
-                out.append(((a, d, f, b, e, b1 // m, e1),
-                            {"t": t, "z": root, "w": w, "lambda": lam},
-                            f"root extraction of order {m} on the first "
-                            "level-2 generator"))
-        for m in range(2, abs(e1) + 1):
-            if e1 % m:
-                continue
-            for root in w.roots(m):
-                out.append(((a, d, f, b, e, b1, e1 // m),
-                            {"t": t, "z": z, "w": root, "lambda": lam},
-                            f"root extraction of order {m} on the second "
-                            "level-2 generator"))
-    elif ranks == (2, 2):
-        a, f, b, e, d1, f1, b1, e1, b2, e2 = p
-        t, s, z, w = vals["t"], vals["s"], vals["z"], vals["w"]
-        nn = _gcd(f1 * b2, a * e2, f * b2)
+    def f_moves(self, q, subset: str, vals: dict):
+        a, f, b, e, d1, f1, b1, e1, b2, e2 = q[:10]
+        nn = q.nn
         inv = (a * e1 + b * f1 - b1 * f) % nn if nn else None
         res_b = range(-abs(b2) + 1, abs(b2))
         res_e = range(-abs(e2) + 1, abs(e2))
@@ -1270,14 +1276,138 @@ def f_move_candidates(ranks, subset: str, params, vals: dict, cap: int = 64):
             if nn and (a * e1t + bt * f1 - b1t * f) % nn != inv:
                 continue
             for et in res_e:
-                p2 = (a, f, bt, et, d1, f1, b1t, e1t, b2, e2)
-                out.append((p2, dict(vals),
-                            "residue replacement preserving the central pairing"))
-                if len(out) >= cap:
-                    return out
-    elif ranks == (3, 2):
-        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = p
-        n3 = _gcd(f2 * b3, a * e2 + b * f2, a * e3)
+                yield ((a, f, bt, et, d1, f1, b1t, e1t, b2, e2), dict(vals),
+                       "residue replacement preserving the central pairing")
+
+
+class _Case32(RankCase):
+    """(3, 2): finite index, three diagonal level-1 generators over a
+    full-rank level-2 lattice."""
+
+    Params = namedtuple("Params32", "a b e d1 b1 e1 f2 b2 e2 b3 e3 n3 m1 m2")
+    scanned = True
+
+    def derive(self, a, b, e, d1, b1, e1, f2, b2, e2, b3, e3):
+        # n3 is the central order; z**m1 and w**m2 carry the commutators of
+        # the consecutive level-1 generators
+        return self.Params(a, b, e, d1, b1, e1, f2, b2, e2, b3, e3,
+                           _gcd(f2 * b3, a * e2 + b * f2, a * e3),
+                           _quot(a * d1, b3), _quot(d1 * f2, e3))
+
+    def generators(self, q) -> list[Elt]:
+        return [elt(a=q.a, b=q.b, e=q.e), elt(d=q.d1, b=q.b1, e=q.e1),
+                elt(f=q.f2, b=q.b2, e=q.e2), elt(b=q.b3), elt(e=q.e3)]
+
+    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+        b3, e3 = _split_level2(moved)
+        (a, x, y), (_, d1, z), (_, _, f2) = moved.level1_rows
+        if x or y or z:
+            raise CaseStructureError(
+                "violates case structure: the level-1 lattice is not "
+                "diagonal")
+        (b, e), (b1, e1), (b2, e2) = canon
+        return (a, b, e, d1, b1, e1, f2, b2, e2, b3, e3)
+
+    def subset(self, q) -> str:
+        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = q[:11]
+        for name, val in (("a", a), ("d'", d1), ("f''", f2), ("b'''", b3),
+                          ("e'''", e3)):
+            if val == 0:
+                raise NoSubsetError(f"no subset: requires {name} != 0")
+        if a * d1 % b3 or d1 * f2 % e3:
+            raise NoSubsetError(
+                "no subset: requires b''' | a*d' and e''' | d'*f''")
+        if max(abs(b), abs(b1), abs(b2)) >= abs(b3):
+            raise NoSubsetError("no subset: requires |b|, |b'|, |b''| < |b'''|")
+        if max(abs(e), abs(e1), abs(e2)) >= abs(e3):
+            raise NoSubsetError("no subset: requires |e|, |e'|, |e''| < |e'''|")
+        return "S"
+
+    def level2_orders(self, q, lam: UnitValue) -> tuple[int, int]:
+        """The exact orders of the two level-2 values that a torsion
+        central value forces."""
+        return (abs(q.m1) * (lam ** (q.a * q.e1)).value_order(),
+                abs(q.m2) * (lam ** (q.b1 * q.f2)).value_order())
+
+    def conditions(self, q, subset: str, v: dict, chi: Character) -> list[dict]:
+        lam = v["lambda"]
+        nu = lam.value_order()
+        conds = [_central_finite(lam, nu)]
+        if nu is not None:
+            n1, n2 = self.level2_orders(q, lam)
+            conds.append(_cond(f"first level-2 value has exact order {n1}",
+                               v["z"].value_order() == n1))
+            conds.append(_cond(f"second level-2 value has exact order {n2}",
+                               v["w"].value_order() == n2))
+            conds.append(_cond(f"central value has exact order {q.n3}",
+                               nu == q.n3))
+        return conds
+
+    def normalizer(self, q, subset: str) -> list[Elt]:
+        dt = _lcm(_order(q.a, q.b3), _order(q.f2, q.e3))
+        return [elt(b=1), elt(e=1), elt(d=dt), elt(a=_order(q.d1, q.b3)),
+                elt(f=_order(q.d1, q.e3))]
+
+    def strata(self, q, subset: str, v: dict) -> list:
+        ok = v["lambda"].modulus_class() == "torsion"
+        n1, n2 = self.level2_orders(q, v["lambda"]) if ok else (0, 0)
+        return [([_cstar(), _cstar(), _cstar(), _mun(n1), _mun(n2),
+                  _mun(q.n3)], ok, "central value torsion")]
+
+    def relations(self, q, subset: str, gens: list[Elt]) -> list:
+        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3, n3, m1, m2 = q
+        return [
+            ("commutator of the first two generators",
+             commutator(gens[0], gens[1]),
+             lambda v: v["z"] ** m1 * v["lambda"] ** (a * e1),
+             lambda v: v["z"] ** (-m1) * v["lambda"] ** (-a * e1)),
+            ("commutator of the last two level-1 generators",
+             commutator(gens[1], gens[2]),
+             lambda v: v["w"] ** m2 * v["lambda"] ** (b1 * f2), None),
+            ("commutator of the outer level-1 generators",
+             commutator(gens[0], gens[2]),
+             lambda v: v["lambda"] ** (a * e2 + b * f2),
+             lambda v: v["lambda"] ** (-(a * e2 + b * f2))),
+            ("commutator of the third generator with the first level-2 one",
+             commutator(gens[2], gens[3]),
+             lambda v: v["lambda"] ** (-f2 * b3),
+             lambda v: v["lambda"] ** (f2 * b3)),
+            ("commutator of the first generator with the second level-2 one",
+             commutator(gens[0], gens[4]),
+             lambda v: v["lambda"] ** (a * e3),
+             lambda v: v["lambda"] ** (-a * e3)),
+        ]
+
+    def samples(self, q, subset: str) -> list[dict]:
+        out = []
+        for nu in ([q.n3] if q.n3 == 1 else [q.n3, 1]):
+            lam = root_of_unity(1, nu)
+            if not (lam ** (q.a * q.e2 + q.b * q.f2)).is_one:
+                continue
+            for j in (0, 1):
+                zv = _torsion_solution(q.m1, lam ** (-q.a * q.e1), j)
+                wv = _torsion_solution(q.m2, lam ** (-q.b1 * q.f2), j)
+                out.append({"t": _sym("t"), "r": _sym("r"), "s": _sym("s"),
+                            "z": zv, "w": wv, "lambda": lam})
+        return out
+
+    def enumerate(self, lo: int, hi: int) -> list:
+        rng = range(lo, hi + 1)
+        nz = [x for x in rng if x]
+        out = []
+        for a, d1, f2 in iproduct(nz, nz, nz):
+            for b3 in [x for x in nz if a * d1 % x == 0]:
+                for e3 in [x for x in nz if d1 * f2 % x == 0]:
+                    res_b, res_e = _residues(rng, b3), _residues(rng, e3)
+                    block = [(a, b, e, d1, b1, e1, f2, b2, e2, b3, e3)
+                             for b, b1, b2 in iproduct(res_b, repeat=3)
+                             for e, e1, e2 in iproduct(res_e, repeat=3)]
+                    if block and self.admissible(block[0]):
+                        out.extend(block)
+        return sorted(out)
+
+    def f_moves(self, q, subset: str, vals: dict):
+        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3, n3 = q[:12]
         res_b = range(-abs(b3) + 1, abs(b3))
         res_e = range(-abs(e3) + 1, abs(e3))
         for bt, e1t, b1t, e2t in iproduct(res_b, res_e, res_b, res_e):
@@ -1287,9 +1417,26 @@ def f_move_candidates(ranks, subset: str, params, vals: dict, cap: int = 64):
                        or (a * e2t + bt * f2 - a * e2 - b * f2) % n3):
                 continue
             for et, b2t in iproduct(res_e, res_b):
-                p2 = (a, bt, et, d1, b1t, e1t, f2, b2t, e2t, b3, e3)
-                out.append((p2, dict(vals),
-                            "residue replacement preserving the relations"))
-                if len(out) >= cap:
-                    return out
-    return out[:cap]
+                yield ((a, bt, et, d1, b1t, e1t, f2, b2t, e2t, b3, e3),
+                       dict(vals), "residue replacement preserving the "
+                       "relations")
+
+
+# ---------------------------------------------------------------------------
+# the table: rank pair, parameter names, value names of the generators
+
+CASES = {case.ranks: case for case in (
+    _Case11((1, 1), ("a", "d", "f", "b", "e"), ("t", "z")),
+    _Case20((2, 0), ("a", "b", "e", "f1", "b1", "e1"), ("t", "s")),
+    _Case21((2, 1), ("a", "e", "d1", "e1"), ("t", "r", "z")),
+    _Case12((1, 2), ("a", "d", "f", "b", "e", "b1", "e1"), ("t", "z", "w")),
+    _Case22((2, 2), ("a", "f", "b", "e", "d1", "f1", "b1", "e1", "b2", "e2"),
+            ("t", "s", "z", "w")),
+    _Case32((3, 2),
+            ("a", "b", "e", "d1", "b1", "e1", "f2", "b2", "e2", "b3", "e3"),
+            ("t", "r", "s", "z", "w")),
+)}
+
+RANK_PAIRS = tuple(CASES)
+PARAM_LENGTH = {ranks: len(case.names) for ranks, case in CASES.items()}
+COORD_NAMES = {ranks: case.coords for ranks, case in CASES.items()}

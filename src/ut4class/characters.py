@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import intlin
 from .core import IDENTITY, Elt, compose, conjugate, inverse, power
@@ -95,12 +95,13 @@ class UnitValue:
         return UnitValue((self.torsion * r) % 1,
                          _norm_exps((s, e * r) for s, e in self.exps))
 
-    def roots(self, m: int) -> list["UnitValue"]:
-        """All m-th roots (principal root twisted by each m-th root of unity)."""
+    def roots(self, m: int) -> Iterator["UnitValue"]:
+        """All m-th roots, lazily: the principal root twisted by the k-th
+        m-th root of unity for k = 0, 1, ..., m - 1."""
         if m <= 0:
             raise ValueError("root order must be positive")
         pr = self ** Fraction(1, m)
-        return [pr * root_of_unity(k, m) for k in range(m)]
+        return (pr * root_of_unity(k, m) for k in range(m))
 
     @property
     def is_one(self) -> bool:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 
 from . import cases, intlin
-from .cases import NoSubsetError
+from .cases import CaseStructureError, NoSubsetError  # normal_form raises the former
 from .characters import (
     Character,
     ONE,
@@ -44,11 +45,6 @@ from .subgroup import (
     level1_preimage,
     level1_sublattice,
 )
-
-
-class CaseStructureError(ValueError):
-    """Subgroup has feasible ranks but sits outside the parametrized
-    families (raised with the message "violates case structure")."""
 
 
 @dataclass(frozen=True)
@@ -125,12 +121,6 @@ def _canonical_residues(sub: Subgroup):
     return canon_pairs, g
 
 
-def _lattice_matches(sub: Subgroup, want_rows: list[tuple[int, int]]) -> bool:
-    have = [tuple(r) for r in sub.level2_rows]
-    want = [tuple(r) for r in intlin.hnf([list(r) for r in want_rows])]
-    return have == want
-
-
 def normal_form(sub: Subgroup) -> NormalForm:
     """Canonical parameters of a subgroup, with the conjugator realizing
     them: conjugating the input by the conjugator yields exactly the
@@ -139,131 +129,12 @@ def normal_form(sub: Subgroup) -> NormalForm:
     ranks = _require_feasible(sub)
     canon, g = _canonical_residues(sub)
     moved = conjugate_subgroup(sub, g)
-    params = _match_shape(ranks, moved, canon)
+    params = cases.CASES[ranks].shape(moved, canon)
     built = cases.build_subgroup(ranks, params)
     if built != moved:
         raise AssertionError("normal form replay failed: the canonical "
                              "subgroup does not match the conjugated input")
     return NormalForm(ranks, tuple(params), g, built)
-
-
-def _match_shape(ranks, moved: Subgroup, canon) -> tuple[int, ...]:
-    """Read the parameter tuple off a residue-canonical subgroup; raises
-    CaseStructureError when the lattice shape is not the parametrized one."""
-    rows1 = [tuple(r) for r in moved.level1_rows]
-    if ranks == (1, 1):
-        (a, d, f), (b, e) = rows1[0], canon[0]
-        if (a, f) == (0, 0):
-            raise CaseStructureError(
-                "violates case structure: the level-1 direction has no "
-                "corner component")
-        n = math.gcd(abs(a), abs(f))
-        a1, f1 = a // n, f // n
-        if not _lattice_matches(moved, [(a1, f1)]):
-            raise CaseStructureError(
-                "violates case structure: the level-2 lattice is not the "
-                "primitive corner direction")
-        if d == 0 and f == 0:
-            return (a, 0, 0, 1, e)
-        if a == 0 and d == 0:
-            return (0, 0, f, b, 1)
-        return (a, d, f, b, e)
-    if ranks == (2, 0):
-        if _pivot_cols(rows1) != (0, 2):
-            raise CaseStructureError(
-                "violates case structure: the level-1 pivots are not the "
-                "two outer axes")
-        (a, x, y), (_, q, f1) = rows1
-        if x or y or q:
-            raise CaseStructureError(
-                "violates case structure: the two level-1 directions are "
-                "not the pure outer axes")
-        (b, e), (b1, e1) = canon
-        return (a, b, e, f1, b1, e1)
-    if ranks == (2, 1):
-        if _pivot_cols(rows1) != (0, 1):
-            raise CaseStructureError(
-                "violates case structure: the level-1 lattice does not "
-                "have the two leading axes as pivots")
-        (a, x, y), (_, d1, z) = rows1
-        if x or y or z:
-            raise CaseStructureError(
-                "violates case structure: the level-1 rows are not the "
-                "pure leading axes")
-        if not _lattice_matches(moved, [(1, 0)]):
-            raise CaseStructureError(
-                "violates case structure: the level-2 lattice is not the "
-                "first coordinate axis")
-        (_, e), (_, e1) = canon
-        return (a, e, d1, e1)
-    if ranks == (1, 2):
-        (a, d, f) = rows1[0]
-        l2 = moved.level2_rows
-        if l2[0][1] != 0:
-            raise CaseStructureError(
-                "violates case structure: the level-2 lattice is not "
-                "split along the coordinate axes")
-        b1, e1 = l2[0][0], l2[1][1]
-        (b, e) = canon[0]
-        return (a, d, f, b, e, b1, e1)
-    if ranks == (2, 2):
-        l2 = moved.level2_rows
-        if l2[0][1] != 0:
-            raise CaseStructureError(
-                "violates case structure: the level-2 lattice is not "
-                "split along the coordinate axes")
-        b2, e2 = l2[0][0], l2[1][1]
-        piv = _pivot_cols(rows1)
-        if piv == (0, 1):
-            (a, x, f), (_, d1, f1) = rows1
-            if x:
-                raise CaseStructureError(
-                    "violates case structure: the leading level-1 row has "
-                    "a diagonal-gap component")
-            (b, e), (b1, e1) = canon
-            return (a, f, b, e, d1, f1, b1, e1, b2, e2)
-        if piv == (0, 2):
-            (a, x, y), (_, _, f1) = rows1
-            if x or y:
-                raise CaseStructureError(
-                    "violates case structure: the leading level-1 row is "
-                    "not a pure axis")
-            (b, e), (b1, e1) = canon
-            return (a, 0, b, e, 0, f1, b1, e1, b2, e2)
-        if piv == (1, 2):
-            (_, d1, z), (_, _, f) = rows1
-            if z:
-                raise CaseStructureError(
-                    "violates case structure: the middle level-1 row has "
-                    "a trailing component")
-            (b1, e1), (b, e) = canon
-            return (0, f, b, e, d1, 0, b1, e1, b2, e2)
-        raise CaseStructureError(
-            "violates case structure: unrecognized level-1 pivot pattern")
-    # (3, 2)
-    l2 = moved.level2_rows
-    if l2[0][1] != 0:
-        raise CaseStructureError(
-            "violates case structure: the level-2 lattice is not split "
-            "along the coordinate axes")
-    b3, e3 = l2[0][0], l2[1][1]
-    (a, x, y), (_, d1, z), (_, _, f2) = rows1
-    if x or y or z:
-        raise CaseStructureError(
-            "violates case structure: the level-1 lattice is not "
-            "diagonal")
-    (b, e), (b1, e1), (b2, e2) = canon
-    return (a, b, e, d1, b1, e1, f2, b2, e2, b3, e3)
-
-
-def _pivot_cols(rows) -> tuple[int, ...]:
-    cols = []
-    for r in rows:
-        for j, x in enumerate(r):
-            if x:
-                cols.append(j)
-                break
-    return tuple(cols)
 
 
 def param_set_of(sub_or_ranks, params=None) -> str:
@@ -324,13 +195,11 @@ def _decide(nf: NormalForm, chi: Character):
     chi2 = transport_character(nf, chi)
     values = cases.case_values(nf.ranks, nf.params, chi2)
     cert: dict = {"values": {k: str(v) for k, v in values.items()}}
-    if nf.ranks == (3, 2):
-        ok, conds = _scan_32(nf, chi2)
-        cert["minimality_conditions"] = cases.validity(
-            nf.ranks, subset, nf.params, chi2)[1]
-        cert["double_coset_scan"] = conds
+    ok, conds = cases.validity(nf.ranks, subset, nf.params, chi2)
+    if ok is None:  # finite index: the conditions certify minimality only
+        ok, cert["double_coset_scan"] = _scan_32(nf, chi2)
+        cert["minimality_conditions"] = conds
     else:
-        ok, conds = cases.validity(nf.ranks, subset, nf.params, chi2)
         cert["conditions"] = conds
     return ClassificationResult(nf.ranks, subset, nf.params, nf.conjugator,
                                 bool(ok), cert), values
@@ -466,14 +335,6 @@ def _normalizer_level1_lattice(sub: Subgroup) -> list[tuple[int, int, int]]:
     return [tuple(r) for r in intlin.hnf(proj)]
 
 
-def _values_of(ranks, params, chi: Character) -> dict:
-    gens = cases.defining_generators(ranks, params)
-    out = {name: evaluate(chi, h)
-           for name, h in zip(cases.COORD_NAMES[ranks], gens)}
-    out["lambda"] = evaluate(chi, elt(c=1))
-    return out
-
-
 def _monomial_solve(factors: list[dict], target: dict):
     """Integer exponents x with prod(factors[i]**x[i]) == target, slotwise.
 
@@ -481,7 +342,6 @@ def _monomial_solve(factors: list[dict], target: dict):
     the value group: symbol exponents give linear equations, torsion parts
     give one congruence per slot.  Returns the exponent list or None.
     """
-    from fractions import Fraction
     slots = sorted(target)
     syms: list = []
     for fac in factors + [target]:
@@ -583,7 +443,7 @@ def equivalent(sub1: Subgroup, chi1: Character, sub2: Subgroup,
         u_a = IDENTITY
     chi_mid = conjugate_character(
         cases.character_from_values(ranks, params, v2), u_a)
-    v2m = _values_of(ranks, params, chi_mid)
+    v2m = cases.case_values(ranks, params, chi_mid)
     for name in level2_names:
         if not (v2m[name] / v1[name]).is_one:
             raise RuntimeError("internal inconsistency: the pairing solve "
@@ -657,30 +517,22 @@ def f_equivalents(sub: Subgroup, chi: Character, limit: int = 20) -> dict:
     nf = normal_form(sub)
     subset = cases.subset_of(nf.ranks, nf.params)
     out = {"flag": "F-equivalence (inferred definition)", "companions": []}
-    if nf.ranks in ((1, 1), (2, 0)) or (nf.ranks, subset) == ((1, 2), "A"):
-        return out
     chi0 = transport_character(nf, chi)
     vals = cases.case_values(nf.ranks, nf.params, chi0)
+    candidates = cases.f_move_candidates(nf.ranks, subset, nf.params, vals)
+    if not candidates:
+        return out
     iso0 = isolator(nf.sub)
-    for p2, vals2, note in cases.f_move_candidates(nf.ranks, subset,
-                                                   nf.params, vals):
+    for p2, vals2, note in candidates:
         if len(out["companions"]) >= limit:
             break
-        try:
-            ss2 = cases.subset_of(nf.ranks, p2)
-        except NoSubsetError:
-            continue
         try:
             chi2 = cases.character_from_values(nf.ranks, p2, vals2)
         except (ValueError, AssertionError):
             continue
         sub2 = chi2.sub
-        if isolator(sub2) != iso0:
-            continue
-        ok2 = cases.validity(nf.ranks, ss2, p2, chi2)[0]
-        if ok2 is None:
-            ok2 = _scan_32(NormalForm(nf.ranks, p2, IDENTITY, sub2), chi2)[0]
-        if not ok2:
+        res = _decide(NormalForm(nf.ranks, p2, IDENTITY, sub2), chi2)[0]
+        if not res.irreducible or isolator(sub2) != iso0:
             continue
         meet = intersect(nf.sub, sub2)
         if not all((evaluate(chi0, x) / evaluate(chi2, x)).is_one
@@ -688,7 +540,7 @@ def f_equivalents(sub: Subgroup, chi: Character, limit: int = 20) -> dict:
             continue
         out["companions"].append({
             "params": list(p2),
-            "subset": ss2,
+            "subset": res.subset,
             "values": {k: str(x) for k, x in vals2.items()},
             "note": note,
         })

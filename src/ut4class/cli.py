@@ -344,10 +344,7 @@ def _cmd_enumerate(payload, args):
     want = payload.get("subset")
     items = []
     for p in cases.enumerate_params(ranks, (-args.box, args.box)):
-        try:
-            ss = cases.subset_of(ranks, p)
-        except cases.NoSubsetError:
-            continue
+        ss = cases.subset_of(ranks, p)
         if want is not None and ss != want:
             continue
         sub = cases.build_subgroup(ranks, p)

@@ -35,6 +35,21 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def divisors(n: int) -> list[int]:
+    """The positive divisors of |n| in increasing order, found in O(sqrt n)
+    steps; none for 0."""
+    n = abs(n)
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            if i != n // i:
+                out.append(n // i)
+        i += 1
+    return sorted(out)
+
+
 def transpose(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[Row]:
     if not rows:
         return [() for _ in range(ncols)] if ncols else []

@@ -64,19 +64,6 @@ def _combo(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> tuple[int, .
     return tuple(out)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
 @dataclass(frozen=True)
 class Subgroup:
     gens1: tuple[Elt, ...]
@@ -486,7 +473,7 @@ def _line_level_set(fn, model, lam, m, member) -> list[tuple[int, ...]]:
         # free directions all vanish; the zero set is a divisor of 6 * torsion
         mt = intlin.lattice_index(sat, lam) if lam else 1
         mt = mt or 1
-        for k in _divisors(6 * mt):
+        for k in intlin.divisors(6 * mt):
             if member(fn((k,))):
                 return [(k,)]
         return []
@@ -569,7 +556,7 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
 # --- isolator ---
 
 def _order_mod(x: Sequence[int], rows: Sequence[Sequence[int]], bound: int) -> int:
-    for k in _divisors(bound):
+    for k in intlin.divisors(bound):
         if intlin.in_rowspan(rows, tuple(k * t for t in x)):
             return k
     raise AssertionError("order must divide the lattice index")
@@ -645,7 +632,7 @@ def isolator(h: Subgroup, enum_cap: int = ENUMERATION_CAP) -> Subgroup:
 def _root_witness(h: Subgroup, v, k0: int, bound: int, lam_h) -> Elt | None:
     """Element with level-1 part v and a power in h, if one exists."""
     u = elt(a=v[0], d=v[1], f=v[2])
-    for d in _divisors(bound):
+    for d in intlin.divisors(bound):
         j = k0 * d
         tj = level1_preimage(h, tuple(j * t for t in v))
 

@@ -43,7 +43,7 @@ def test_unit_value_group_laws():
 
 def test_unit_value_roots():
     v = symbol_value(Z, 2) * root_of_unity(1, 2)
-    rs = v.roots(4)
+    rs = list(v.roots(4))
     assert len(rs) == 4
     assert len(set(rs)) == 4
     for r in rs:
