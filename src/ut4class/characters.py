@@ -354,11 +354,3 @@ def conjugate_character(chi: Character, g: Elt) -> Character:
     # conjugation fixes the centre pointwise
     val_c = evaluate(chi, Elt(0, 0, 0, 0, 0, dom.c0)) if dom.c0 else ONE
     return Character(dom, vals1, vals2, val_c)
-
-
-def restrict(chi: Character, sub: Subgroup) -> Character:
-    """Restriction to a subgroup of the domain."""
-    vals1 = tuple(evaluate(chi, t) for t in sub.gens1)
-    vals2 = tuple(evaluate(chi, s) for s in sub.gens2)
-    val_c = evaluate(chi, Elt(0, 0, 0, 0, 0, sub.c0)) if sub.c0 else ONE
-    return Character(sub, vals1, vals2, val_c)

@@ -331,8 +331,8 @@ def _normalizer_level1_lattice(sub: Subgroup) -> list[tuple[int, int, int]]:
     condition on its level-1 coordinates, and the tail coordinates are
     free.
     """
-    proj = [kr[:3] for kr in intlin.left_kernel(_shift_matrix(sub))]
-    return [tuple(r) for r in intlin.hnf(proj)]
+    shifts = _shift_matrix(sub)
+    return intlin.preimage(shifts[:3], shifts[3:])
 
 
 def _monomial_solve(factors: list[dict], target: dict):
@@ -452,13 +452,8 @@ def equivalent(sub1: Subgroup, chi1: Character, sub2: Subgroup,
     # phase 2: normalizer elements with trivial pairing form a group whose
     # action on the level-1 values is by fixed multipliers, so membership
     # is an exact monomial solve over the generator multipliers
-    if deltas:
-        kernel = [kr[:len(basis)] for kr in intlin.left_kernel(aug)]
-    else:
-        kernel = [tuple(1 if i == j else 0 for j in range(len(basis)))
-                  for i in range(len(basis))]
     gens_b = []
-    for kv in intlin.hnf(kernel):
+    for kv in intlin.preimage(pairing_rows, aug[len(basis):]):
         uvec = [0, 0, 0]
         for c, u in zip(kv, basis):
             uvec = [x + c * y for x, y in zip(uvec, u)]

@@ -14,8 +14,7 @@ tails, solution coefficients).
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 Row = tuple[int, ...]
 
@@ -177,13 +176,24 @@ def solve_in_rowspace(rows: Sequence[Sequence[int]], v: Sequence[int]) -> Row | 
     return tuple(coeffs)
 
 
-def left_kernel(rows: Sequence[Sequence[int]]) -> list[Row]:
-    """Basis of {x : x . rows = 0}."""
+def preimage(rows: Sequence[Sequence[int]],
+             lattice: Sequence[Sequence[int]]) -> list[Row]:
+    """HNF basis of {x : x . rows lies in the span of lattice}.
+
+    A left-kernel vector of rows stacked over lattice pairs each such x
+    with the lattice coefficients that cancel x . rows, so its first
+    len(rows) entries span the answer.
+    """
     rows = list(rows)
     if not rows:
         return []
-    _, _, K = hnf_with_transform(rows)
-    return hnf(K)
+    kern = hnf_with_transform(rows + list(lattice))[2]
+    return hnf([k[:len(rows)] for k in kern])
+
+
+def left_kernel(rows: Sequence[Sequence[int]]) -> list[Row]:
+    """Basis of {x : x . rows = 0}."""
+    return preimage(rows, [])
 
 
 def kernel_right(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[Row]:
@@ -230,10 +240,8 @@ def lattice_intersect(
     a_rows, b_rows = list(a_rows), list(b_rows)
     if not a_rows or not b_rows:
         return []
-    stacked = a_rows + b_rows
     meet = []
-    for kr in left_kernel(stacked):
-        u = kr[: len(a_rows)]
+    for u in preimage(a_rows, b_rows):
         vec = [0] * len(a_rows[0])
         for c, row in zip(u, a_rows):
             if c:
@@ -260,99 +268,3 @@ def lattice_index(sup_rows: Sequence[Sequence[int]], sub_rows: Sequence[Sequence
     if num % den:
         return None
     return num // den
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient for any integer n (k >= 0), e.g. binom(-2, 2) = 3."""
-    if k < 0:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // math.factorial(k)
-
-
-class NewtonPoly:
-    """Exact model of a polynomial map Z^p -> Z^m in the binomial basis.
-
-    f(x) = sum over multi-indices alpha of D_alpha * prod binom(x_i, alpha_i)
-    with integer finite-difference coefficients D_alpha.  Exact whenever the
-    source function is a polynomial of per-variable degree <= deg, which
-    callers must guarantee; fit_newton verifies on extra probe points.
-    """
-
-    def __init__(self, p: int, m: int, deg: int, diffs: dict[tuple[int, ...], Row]):
-        self.p = p
-        self.m = m
-        self.deg = deg
-        self.diffs = diffs
-
-    def __call__(self, x: Sequence[int]) -> Row:
-        out = [0] * self.m
-        for alpha, d in self.diffs.items():
-            w = 1
-            for xi, ai in zip(x, alpha):
-                if ai:
-                    w *= binom(xi, ai)
-                    if not w:
-                        break
-            if w:
-                for t in range(self.m):
-                    out[t] += w * d[t]
-        return tuple(out)
-
-    def const(self) -> Row:
-        return self.diffs.get(tuple(0 for _ in range(self.p)), tuple(0 for _ in range(self.m)))
-
-    def linear_rows(self) -> list[Row]:
-        """D_{e_i} per variable: f(x) == const + sum x_i * row_i modulo the
-        span of the higher coefficients (all binomial weights are integers)."""
-        rows = []
-        for i in range(self.p):
-            alpha = tuple(1 if t == i else 0 for t in range(self.p))
-            rows.append(self.diffs.get(alpha, tuple(0 for _ in range(self.m))))
-        return rows
-
-    def higher_diffs(self) -> list[Row]:
-        return [d for alpha, d in self.diffs.items() if sum(alpha) >= 2]
-
-
-def fit_newton(f: Callable[[Row], Sequence[int]], p: int, deg: int,
-               verify_points: Iterable[Row] = ()) -> NewtonPoly:
-    """Finite-difference fit of a polynomial map on the grid {0..deg}^p."""
-    if p == 0:
-        val = tuple(f(()))
-        model = NewtonPoly(0, len(val), deg, {(): val})
-        return model
-    pts = _box(p, deg)
-    # grid values in lexicographic order, so the last coordinate varies
-    # fastest; D_alpha is the alpha-th forward difference at 0, taken one
-    # axis at a time in place
-    vals = [list(f(pt)) for pt in pts]
-    m = len(vals[0])
-    n = deg + 1
-    for axis in range(p):
-        step = n ** (p - 1 - axis)
-        for start in range(len(vals)):
-            if (start // step) % n:
-                continue
-            line = [vals[start + j * step] for j in range(n)]
-            for k in range(1, n):
-                for j in range(deg, k - 1, -1):
-                    hi, lo = line[j], line[j - 1]
-                    for t in range(m):
-                        hi[t] -= lo[t]
-    diffs = {alpha: tuple(v) for alpha, v in zip(pts, vals) if any(v)}
-    model = NewtonPoly(p, m, deg, diffs)
-    for v in verify_points:
-        if model(v) != tuple(f(v)):
-            raise ValueError("function is not polynomial of the declared degree")
-    return model
-
-
-def _box(p: int, deg: int):
-    ranges = [range(deg + 1)] * p
-    out = [()]
-    for r in ranges:
-        out = [pt + (v,) for pt in out for v in r]
-    return out

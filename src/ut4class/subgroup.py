@@ -8,14 +8,12 @@ the derived subgroup modulo the centre ((b, e) rows again in HNF), and
 into fixed fundamental domains, so equal subgroups have equal canonical
 data; structural equality of ``Subgroup`` values is subgroup equality.
 
-All computations are exact.  The few operations whose general case
-needs a search (certain intersections of pathological inputs) mark their
-result with a flag instead of guessing; every classification-facing call
-stays on the exact paths.  Flags do not take part in equality.
+Every operation is exact: none searches a box or returns a partial
+answer.  ``intersect`` solves one linear lattice system per layer.
 
 ``ENUMERATION_CAP`` bounds the enumerations whose length the input
-controls.  Past it ``transversal`` raises ``CapacityError`` (the input is
-valid; the tool declines the work) and ``isolator`` flags its result.
+controls.  Past it ``transversal`` and ``isolator`` raise
+``CapacityError``: the input is valid, and the tool declines the work.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import intlin
 from .core import (
@@ -69,7 +67,6 @@ class Subgroup:
     gens1: tuple[Elt, ...]
     gens2: tuple[Elt, ...]
     c0: int
-    flags: tuple[str, ...] = field(default=(), compare=False)
     # derived_subgroup's memo, set once with object.__setattr__
     _derived: Subgroup | None = field(default=None, init=False,
                                       compare=False, hash=False, repr=False)
@@ -108,7 +105,6 @@ class Subgroup:
             "level2": [list(s) for s in self.gens2],
             "center": self.c0,
             "rank_signature": list(self.rank_signature()),
-            "flags": list(self.flags),
         }
 
 
@@ -190,7 +186,7 @@ class _Builder:
             for g in pend:
                 self.add(g)
 
-    def finish(self, flags: Iterable[str] = ()) -> Subgroup:
+    def finish(self) -> Subgroup:
         cols2 = sorted(self.p2)
         for i, j in enumerate(cols2):
             for j2 in cols2[i + 1:]:
@@ -236,16 +232,16 @@ class _Builder:
             self.p1[j] = (r, t)
         gens1 = tuple(self.p1[j][1] for j in cols1)
         gens2 = tuple(self.p2[j][1] for j in cols2)
-        return Subgroup(gens1, gens2, self.c0, tuple(sorted(set(flags))))
+        return Subgroup(gens1, gens2, self.c0)
 
 
-def subgroup(generators: Iterable[Elt], flags: Iterable[str] = ()) -> Subgroup:
+def subgroup(generators: Iterable[Elt]) -> Subgroup:
     """Canonical form of the subgroup generated by the given elements."""
     b = _Builder()
     for g in generators:
         b.add(Elt(*g))
     b.close()
-    return b.finish(flags)
+    return b.finish()
 
 
 WHOLE_GROUP = subgroup([elt(a=1), elt(d=1), elt(f=1), elt(b=1), elt(e=1),
@@ -314,13 +310,8 @@ def level1_sublattice(h: Subgroup, A: int, D: int, F: int):
     conjugation shift of (b, e) must lie in the level-2 lattice.
     Returns (HNF rows, whether they have full rank)."""
     V = h.level1_rows
-    if not V:
-        return [], True
-    rows = [[A * v[1] - v[0] * D, D * v[2] - v[1] * F] for v in V]
-    # a left-kernel basis of the shifts over the level-2 rows, projected
-    kern = intlin.hnf_with_transform(
-        rows + [list(r) for r in h.level2_rows])[2]
-    coeffs = intlin.hnf([k[:len(V)] for k in kern])
+    coeffs = intlin.preimage(
+        [(A * v[1] - v[0] * D, D * v[2] - v[1] * F) for v in V], h.level2_rows)
     return coeffs, len(coeffs) == len(V)
 
 
@@ -339,15 +330,14 @@ def derived_subgroup(h: Subgroup) -> Subgroup:
     # normal closure needs the conjugation corrections, which in this
     # group are central triple commutators
     triples = [commutator(c, g) for c in pairs for g in gens]
-    out = subgroup(pairs + [t for t in triples if t != IDENTITY],
-                   flags=h.flags)
+    out = subgroup(pairs + [t for t in triples if t != IDENTITY])
     object.__setattr__(h, "_derived", out)
     return out
 
 
 def conjugate_subgroup(h: Subgroup, g: Elt) -> Subgroup:
     """Canonical form of g H g^-1."""
-    return subgroup([conjugate(t, g) for t in h.generators()], flags=h.flags)
+    return subgroup([conjugate(t, g) for t in h.generators()])
 
 
 def index_in(sub: Subgroup, sup: Subgroup) -> int | float:
@@ -401,156 +391,49 @@ def transversal(h: Subgroup, k: Subgroup,
     return out
 
 
-# --- level sets of polynomial maps that are promised to be subgroups ---
-
-def _verify_pts(p: int) -> list[tuple[int, ...]]:
-    base = [-1, 4, -3, 5]
-    pts = {tuple(-1 for _ in range(p)), tuple(-2 for _ in range(p))}
-    for shift in range(3):
-        pts.add(tuple(base[(i + shift) % len(base)] for i in range(p)))
-    return sorted(pts)
-
-
-def subgroup_level_set(
-    fn: Callable[[tuple[int, ...]], Sequence[int]],
-    p: int,
-    lam_rows: Sequence[Sequence[int]],
-    m: int,
-    search_radius: int = 5,
-) -> tuple[list[tuple[int, ...]], bool]:
-    """Basis of S = {x in Z^p : fn(x) in lattice(lam_rows)}.
-
-    fn must be a polynomial map of total degree <= 3 and S must be a
-    subgroup of Z^p (callers guarantee both; the promise is what makes
-    the exact tiers complete).  Returns (basis_rows, exact).
-    """
-    if p == 0:
-        return [], True
-    lam = intlin.hnf([r for r in lam_rows if any(r)])
-
-    def member(vec) -> bool:
-        if not lam:
-            return not any(vec)
-        res, _ = intlin.row_reduce(lam, vec)
-        return not any(res)
-
-    model = intlin.fit_newton(fn, p, 3, verify_points=_verify_pts(p))
-    assert member(model.const()), "level-set promise violated at 0"
-    if all(member(d) for d in model.higher_diffs()):
-        # fn is additive modulo the lattice: a plain congruence system
-        lin = model.linear_rows()
-        mat = [
-            tuple(lin[i][t] for i in range(p)) + tuple(row[t] for row in lam)
-            for t in range(m)
-        ]
-        kern = intlin.kernel_right(mat, p + len(lam))
-        return intlin.hnf([kr[:p] for kr in kern]), True
-    if p == 1:
-        return _line_level_set(fn, model, lam, m, member), True
-    found = []
-    for x in iproduct(range(-search_radius, search_radius + 1), repeat=p):
-        if member(fn(x)):
-            found.append(x)
-    basis = intlin.hnf(found)
-    full = basis == [tuple(1 if i == j else 0 for j in range(p)) for i in range(p)]
-    return basis, full
-
-
-def _line_level_set(fn, model, lam, m, member) -> list[tuple[int, ...]]:
-    d = [
-        model.diffs.get((i,), tuple(0 for _ in range(m)))
-        for i in range(4)
-    ]
-    sat = intlin.saturate(lam) if lam else []
-    wrows = intlin.kernel_right(sat, m) if sat else intlin.kernel_right([], m)
-    polys = []
-    for w in wrows:
-        c = [sum(dv * wv for dv, wv in zip(d[i], w)) for i in range(4)]
-        assert c[0] == 0
-        if any(c[1:]):
-            polys.append(c)
-    if not polys:
-        # free directions all vanish; the zero set is a divisor of 6 * torsion
-        mt = intlin.lattice_index(sat, lam) if lam else 1
-        mt = mt or 1
-        for k in intlin.divisors(6 * mt):
-            if member(fn((k,))):
-                return [(k,)]
-        return []
-    # nonzero k roots of 6*g(k)/k for the first constraining polynomial
-    c = polys[0]
-    aa = c[3]
-    bb = 3 * c[2] - 3 * c[3]
-    cc = 6 * c[1] - 3 * c[2] + 2 * c[3]
-    roots = []
-    if aa == 0:
-        if bb != 0 and (-cc) % bb == 0:
-            roots.append(-cc // bb)
-    else:
-        disc = bb * bb - 4 * aa * cc
-        if disc >= 0:
-            s = math.isqrt(disc)
-            if s * s == disc:
-                for num in (-bb + s, -bb - s):
-                    if num % (2 * aa) == 0:
-                        roots.append(num // (2 * aa))
-    for k in sorted({r for r in roots if r >= 1}):
-        ok = all(
-            sum(q[i] * intlin.binom(k, i) for i in range(4)) == 0 for q in polys
-        )
-        if ok and member(fn((k,))):
-            return [(k,)]
-    return []
-
-
 # --- intersection ---
 
 def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
-    """Canonical form of the intersection of two subgroups."""
+    """Canonical form of the intersection of two subgroups.
+
+    On the meet M of the level-1 lattices, delta(v) = pre_K(v)^-1 pre_H(v)
+    is the derived-subgroup gap between the canonical preimages of v, and
+    v lifts into H and K together exactly when delta(v) lies in
+    sigma = Gamma_H + Gamma_K.  Layer by layer the condition is linear:
+    modulo the centre the derived layer is central, so delta is additive
+    on M modulo the (b, e) image of sigma; on the solutions S1 of that
+    layer, delta(v1 + v2) - delta(v1) - delta(v2) is the change of delta(v1)
+    under conjugation by pre_K(v2), which keeps its Gamma_K part in
+    Gamma_K, and its Gamma_H part in Gamma_H since pre_K(v2) acts on the
+    abelian derived layer as pre_H(v2) does.  So delta is additive on S1
+    modulo sigma, and each layer is one ``intlin.preimage``.
+    """
     lam_h = h.gamma1_rows
     lam_k = k.gamma1_rows
     lam_i = intlin.lattice_intersect(lam_h, lam_k)
     gens: list[Elt] = [elt(b=r[0], e=r[1], c=r[2]) for r in lam_i]
-    flags = set(h.flags) | set(k.flags)
     m_rows = intlin.lattice_intersect(h.level1_rows, k.level1_rows)
-    if m_rows:
-        p = len(m_rows)
-        sigma = intlin.hnf(list(lam_h) + list(lam_k))
+    sigma = intlin.hnf(list(lam_h) + list(lam_k))
 
-        def delta(x: tuple[int, ...]) -> tuple[int, int, int]:
-            v = _combo(x, m_rows)
-            d = compose(inverse(level1_preimage(k, v)), level1_preimage(h, v))
-            return (d.b, d.e, d.c)
+    def delta(v: Sequence[int]) -> tuple[int, int, int]:
+        d = compose(inverse(level1_preimage(k, v)), level1_preimage(h, v))
+        return (d.b, d.e, d.c)
 
-        pi_be = intlin.hnf([r[:2] for r in sigma])
-        s1, ex1 = subgroup_level_set(lambda x: delta(x)[:2], p, pi_be, 2)
-        if not ex1:
-            flags.add("intersection_search_bounded")
-        coeff_rows: list[tuple[int, ...]] = []
-        if s1:
-            if sigma and intlin.in_rowspan(sigma, (0, 0, 1)):
-                coeff_rows = list(s1)
-            else:
-                s2, ex2 = subgroup_level_set(
-                    lambda y: delta(_combo(y, s1)), len(s1), sigma, 3
-                )
-                if not ex2:
-                    flags.add("intersection_search_bounded")
-                coeff_rows = [_combo(y, s1) for y in s2]
-        stack = list(lam_k) + list(lam_h)
-        for x in coeff_rows:
-            v = _combo(x, m_rows)
-            dvec = delta(x)
-            sol = intlin.solve_in_rowspace(stack, dvec)
-            assert sol is not None
-            uh = [0, 0, 0]
-            for cz, row in zip(sol[len(lam_k):], lam_h):
-                if cz:
-                    uh = [a - cz * b for a, b in zip(uh, row)]
-            w = compose(level1_preimage(h, v), elt(b=uh[0], e=uh[1], c=uh[2]))
-            assert contains(h, w) and contains(k, w)
-            gens.append(w)
-    return subgroup(gens, flags=flags)
+    s1 = [_combo(y, m_rows) for y in intlin.preimage(
+        [delta(v)[:2] for v in m_rows], [r[:2] for r in sigma])]
+    stack = list(lam_k) + list(lam_h)
+    for y in intlin.preimage([delta(v) for v in s1], sigma):
+        v = _combo(y, s1)
+        sol = intlin.solve_in_rowspace(stack, delta(v))
+        assert sol is not None
+        uh = [0, 0, 0]
+        for cz, row in zip(sol[len(lam_k):], lam_h):
+            if cz:
+                uh = [a - cz * b for a, b in zip(uh, row)]
+        w = compose(level1_preimage(h, v), elt(b=uh[0], e=uh[1], c=uh[2]))
+        assert contains(h, w) and contains(k, w)
+        gens.append(w)
+    return subgroup(gens)
 
 
 # --- isolator ---
@@ -562,14 +445,13 @@ def _order_mod(x: Sequence[int], rows: Sequence[Sequence[int]], bound: int) -> i
     raise AssertionError("order must divide the lattice index")
 
 
-def isolator(h: Subgroup, enum_cap: int = ENUMERATION_CAP) -> Subgroup:
+def isolator(h: Subgroup) -> Subgroup:
     """Canonical form of the set of elements with a positive power in h.
 
-    For this group the set is a subgroup; the computation is exact (the
-    flag ``isolator_enumeration_capped`` marks the one escape hatch, hit
-    only when the saturation index exceeds ``enum_cap``).
+    For this group the set is a subgroup.  The computation visits every
+    class of the level-1 lattice modulo its saturation, so past
+    ``ENUMERATION_CAP`` such classes it raises ``CapacityError``.
     """
-    flags = set(h.flags)
     gens = list(h.generators())
     l2 = h.level2_rows
     if h.c0:
@@ -608,9 +490,11 @@ def isolator(h: Subgroup, enum_cap: int = ENUMERATION_CAP) -> Subgroup:
         thnf = intlin.hnf(t_rows)
         pivots = [r[_first_nz(r)] for r in thnf]
         index1 = math.prod(pivots)
-        if index1 > enum_cap:
-            flags.add("isolator_enumeration_capped")
-        elif index1 > 1:
+        if index1 > ENUMERATION_CAP:
+            raise CapacityError(
+                f"the isolator visits {index1} level-1 classes modulo the "
+                f"saturation, more than {ENUMERATION_CAP}")
+        if index1 > 1:
             satbe = intlin.saturate(l2)
             idx2 = intlin.lattice_index(satbe, l2) if l2 else 1
             bound = (idx2 or 1) * max(h.c0, 1)
@@ -626,7 +510,7 @@ def isolator(h: Subgroup, enum_cap: int = ENUMERATION_CAP) -> Subgroup:
                 w = _root_witness(h, v, k0, bound, lam_h)
                 if w is not None:
                     gens.append(w)
-    return subgroup(gens, flags=flags)
+    return subgroup(gens)
 
 
 def _root_witness(h: Subgroup, v, k0: int, bound: int, lam_h) -> Elt | None:

@@ -16,7 +16,6 @@ from ut4class.characters import (
     conjugate_character,
     evaluate,
     power_solutions,
-    restrict,
     root_of_unity,
     solve_character,
     symbol_value,
@@ -200,17 +199,3 @@ def test_conjugate_character_pointwise():
         # twisted domain really is g^-1 H g
         for t in dom.generators():
             assert contains(h, conjugate(t, g))
-
-
-def test_restrict_and_equality():
-    h = subgroup([elt(b=1), elt(e=1), elt(c=1)])
-    chi = character(
-        h, vals2=[symbol_value(Z), symbol_value(W)], val_c=symbol_value(LAM)
-    )
-    k = subgroup([elt(b=2, e=2), elt(c=3)])
-    res = restrict(chi, k)
-    assert res.sub == k
-    assert evaluate(res, elt(b=2, e=2)) == symbol_value(Z, 2) * symbol_value(W, 2)
-    assert evaluate(res, elt(c=3)) == symbol_value(LAM, 3)
-    res2 = restrict(chi, k)
-    assert res == res2

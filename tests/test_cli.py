@@ -419,6 +419,19 @@ def test_isolator_command(tmp_path, capsys):
     assert res["isolator"]["rank_signature"] == [1, 0, 1]
 
 
+def test_isolator_refuses_past_the_cap(tmp_path, capsys):
+    # the level-1 lattice has index 200,003 in its saturation; a verdict
+    # drawn from H itself would wrongly call H isolated
+    t0 = time.perf_counter()
+    rc, out, err = run(tmp_path, capsys, "isolator",
+                       {"generators": [[200003, 0, 0, 0, 0, 0],
+                                       [0, 0, 1, 0, 0, 0],
+                                       [0, 0, 0, 0, 0, 1]]})
+    assert time.perf_counter() - t0 < 1
+    assert (rc, out) == (5, "")
+    assert err.startswith("capacity exceeded:")
+
+
 def test_f_equivalents_command(tmp_path, capsys):
     payload = {"generators": rows_for((1, 1), (1, 0, 1, 0, 0)),
                "values": ["t", "z", "lam"]}

@@ -7,7 +7,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from ut4class import intlin
+from ut4class import cases, intlin
 from ut4class.core import (
     IDENTITY,
     Elt,
@@ -20,7 +20,6 @@ from ut4class.core import (
 )
 from ut4class.subgroup import (
     CapacityError,
-    Subgroup,
     conjugate_subgroup,
     contains,
     decompose,
@@ -30,7 +29,6 @@ from ut4class.subgroup import (
     isolator,
     level1_preimage,
     subgroup,
-    subgroup_level_set,
     transversal,
 )
 
@@ -83,7 +81,7 @@ def sample_gen_lists():
 def exact_member(h, g):
     """Membership oracle independent of `contains`: adjoining a member
     must not change the canonical form."""
-    return subgroup(list(h.generators()) + [g], flags=h.flags) == h
+    return subgroup(list(h.generators()) + [g]) == h
 
 
 def test_canonical_form_is_generator_invariant():
@@ -265,47 +263,41 @@ def test_transversal_within_gamma1():
     assert len({coset_rep(h, r) for r in reps}) == 6
 
 
-def test_subgroup_level_set_vs_bruteforce_linear():
+def test_preimage_vs_bruteforce():
     rng = random.Random(47)
-    for _ in range(12):
+    for _ in range(40):
         p = rng.randint(1, 3)
         m = rng.randint(1, 3)
-        mat = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(p)]
+        rows = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(p)]
         lam = [
             tuple(rng.randint(-2, 2) for _ in range(m))
             for _ in range(rng.randint(0, 2))
         ]
-
-        def fn(x, mat=mat):
-            out = [0] * len(mat[0])
-            for xi, row in zip(x, mat):
-                for t, rv in enumerate(row):
-                    out[t] += xi * rv
-            return tuple(out)
-
-        basis, exact = subgroup_level_set(fn, p, lam, m)
-        assert exact
-        lam_h = intlin.hnf([r for r in lam if any(r)])
+        basis = intlin.preimage(rows, lam)
+        assert basis == intlin.hnf(basis)
+        lam_h = intlin.hnf(lam)
 
         def member(vec):
-            if not lam_h:
-                return not any(vec)
             res, _ = intlin.row_reduce(lam_h, vec)
             return not any(res)
 
         for x in iproduct(range(-3, 4), repeat=p):
-            assert intlin.in_rowspan(basis, x) == member(fn(x))
+            image = tuple(sum(xi * r[t] for xi, r in zip(x, rows))
+                          for t in range(m))
+            assert intlin.in_rowspan(basis, x) == member(image)
 
 
-def test_subgroup_level_set_additive_quadratic():
-    # f(x, y) = x^2 + y is additive modulo 2
-    def fn(x):
-        return (x[0] * x[0] + x[1],)
-
-    basis, exact = subgroup_level_set(fn, 2, [(2,)], 1)
-    assert exact
-    for x in iproduct(range(-4, 5), repeat=2):
-        assert intlin.in_rowspan(basis, x) == ((x[0] * x[0] + x[1]) % 2 == 0)
+def oracle_shaped_pairs():
+    """Generators of H^g, and H, as the oracle intersects them: every
+    box-1 tuple of each rank pair, two conjugators g with entries in
+    [-1, 1] per tuple."""
+    rng = random.Random(61)
+    for ranks in cases.CASES:
+        for params in cases.enumerate_params(ranks, (-1, 1)):
+            h = subgroup(cases.defining_generators(ranks, params))
+            for _ in range(2):
+                g = Elt(*[rng.randint(-1, 1) for _ in range(6)])
+                yield conjugate_subgroup(h, g).generators(), h
 
 
 def test_intersect_soundness_and_ball_completeness():
@@ -314,20 +306,21 @@ def test_intersect_soundness_and_ball_completeness():
     pairs = []
     for i in range(len(samples)):
         for _ in range(2):
-            pairs.append((samples[i], samples[rng.randrange(len(samples))]))
-    for gh, gk in pairs[:22]:
-        h, k = subgroup(gh), subgroup(gk)
+            pairs.append((samples[i], subgroup(
+                samples[rng.randrange(len(samples))])))
+    checks = [(gh, k, 3) for gh, k in pairs[:22]]
+    checks += [(gh, k, 2) for gh, k in oracle_shaped_pairs()]
+    for gh, k, radius in checks:
+        h = subgroup(gh)
         inter = intersect(h, k)
         for t in inter.generators():
             assert contains(h, t) and contains(k, t)
-        flagged = "intersection_search_bounded" in inter.flags
-        common = [x for x in ball(gh, 3) if contains(k, x)]
-        for x in common:
-            if not flagged:
+        for x in ball(gh, radius):
+            if contains(k, x):
                 assert contains(inter, x)
     for gens in samples[:8]:
         h = subgroup(gens)
-        assert intersect(h, h) == Subgroup(h.gens1, h.gens2, h.c0, h.flags)
+        assert intersect(h, h) == h
 
 
 def test_intersect_with_overgroup_is_identity_map():
@@ -338,26 +331,20 @@ def test_intersect_with_overgroup_is_identity_map():
         h = subgroup(gens)
         extra = [Elt(*[rng.randint(-2, 2) for _ in range(6)]) for _ in range(2)]
         k = subgroup(list(gens) + extra)
-        inter = intersect(h, k)
-        if "intersection_search_bounded" not in inter.flags:
-            assert inter == h
+        assert intersect(h, k) == h
 
 
 def test_intersect_symmetry():
     samples = sample_gen_lists()
     for i in range(0, len(samples) - 1, 2):
         h, k = subgroup(samples[i]), subgroup(samples[i + 1])
-        a = intersect(h, k)
-        b = intersect(k, h)
-        if not a.flags and not b.flags:
-            assert a == b
+        assert intersect(h, k) == intersect(k, h)
 
 
 def test_isolator_contains_and_roots():
     for gens in sample_gen_lists():
         h = subgroup(gens)
         r = isolator(h)
-        assert not r.flags
         for t in h.generators():
             assert contains(r, t)
         for t in r.generators():
