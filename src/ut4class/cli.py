@@ -3,10 +3,12 @@
 Requests are JSON objects read from a file argument or standard input.
 Each subcommand accepts either its bare payload or an envelope
 {"command": ..., "payload": ...} whose command field must match the
-subcommand on the command line.  Payload schemas live in
+subcommand on the command line.  Payload shapes live in
 docs/schemas.md; group elements are six-entry integer rows in the
 coordinate order [a, d, f, b, e, c] (matrix positions (1,2), (2,3),
-(3,4), (1,3), (2,4), (1,4)).
+(3,4), (1,3), (2,4), (1,4)).  Numbers must be JSON integers (1.0 is
+refused); a payload of the wrong shape exits 2 before any group
+computation, with one line naming the first offending field.
 
 Responses print as a short text summary by default, or as JSON with
 --json (compact) or --pretty (indented).  The tool is stateless and
@@ -21,13 +23,12 @@ valid request needing more enumeration than the tool's cap).
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
 import sys
 from fractions import Fraction
-
-import jsonschema
 
 from . import cases, classify, oracle
 from .characters import (
@@ -39,109 +40,89 @@ from .characters import (
 from .core import Elt
 from .subgroup import CapacityError, isolator, subgroup
 
-# ---------------------------------------------------------------- schemas
-
-_INT6 = {
-    "type": "array",
-    "items": {"type": "integer"},
-    "minItems": 6,
-    "maxItems": 6,
-}
-
-_GENS = {"type": "array", "items": _INT6, "maxItems": 64}
-
-_VALUE = {
-    "oneOf": [
-        {"type": "string", "minLength": 1},
-        {
-            "type": "object",
-            "properties": {
-                "symbol": {"type": "string", "minLength": 1},
-                "on_circle": {"type": "boolean"},
-                "power": {"type": "integer"},
-            },
-            "required": ["symbol"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "root_of_unity": {
-                    "type": "array",
-                    "items": {"type": "integer"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
-            "required": ["root_of_unity"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "numeric": {
-                    "type": "array",
-                    "items": {"type": "string", "minLength": 1},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
-            "required": ["numeric"],
-            "additionalProperties": False,
-        },
-    ],
-}
-
-_VALUES = {"type": "array", "items": _VALUE, "maxItems": 64}
+# --------------------------------------------------------------- requests
 
 
-def _pair_schema(values_required: bool) -> dict:
-    return {
-        "type": "object",
-        "properties": {"generators": _GENS, "values": _VALUES},
-        "required": ["generators", "values"] if values_required
-        else ["generators"],
-        "additionalProperties": False,
-    }
+class RequestError(Exception):
+    """A request without the shape its command needs (exit 2).  Not a
+    ValueError, which main reports as an unmet precondition (exit 3)."""
 
 
-_GENS_ONLY = {
-    "type": "object",
-    "properties": {"generators": _GENS},
-    "required": ["generators"],
-    "additionalProperties": False,
-}
+def _row(x, n: int, kind: type) -> bool:
+    """x is a list of n entries of type kind exactly: true and 1.0 are not
+    integers, so no bool or float reaches the exact arithmetic."""
+    return (isinstance(x, list) and len(x) == n
+            and all(type(v) is kind for v in x))
 
-_CASE = {"enum": [[1, 1], [2, 0], [2, 1], [1, 2], [2, 2], [3, 2]]}
 
-_SCHEMAS = {
-    "classify": _pair_schema(False),
-    "irreducible": _pair_schema(True),
-    "stratum": _pair_schema(True),
-    "equivalent": {
-        "type": "object",
-        "properties": {
-            "first": _pair_schema(True),
-            "second": _pair_schema(True),
-        },
-        "required": ["first", "second"],
-        "additionalProperties": False,
-    },
-    "isolator": _GENS_ONLY,
-    "ranks": _GENS_ONLY,
-    "f-equivalents": _pair_schema(True),
-    "verify": {
-        "type": "object",
-        "properties": {"case": _CASE},
-        "required": ["case"],
-        "additionalProperties": False,
-    },
-    "enumerate": {
-        "type": "object",
-        "properties": {"case": _CASE, "subset": {"type": "string"}},
-        "required": ["case"],
-        "additionalProperties": False,
-    },
+def _leaf(ok, what: str):
+    """The check of a value that must pass ok."""
+    def check(x, where: str) -> None:
+        if not ok(x):
+            raise RequestError(f"{where}: expected {what}")
+    return check
+
+
+def _list_of(check_entry, what: str):
+    """The check of a list of at most 64 entries passing check_entry."""
+    def check(x, where: str) -> None:
+        if not (isinstance(x, list) and len(x) <= 64):
+            raise RequestError(f"{where}: expected {what}")
+        for i, entry in enumerate(x):
+            check_entry(entry, f"{where}[{i}]")
+    return check
+
+
+def _check_object(x, where: str, required: tuple, optional=()) -> None:
+    """Refuse x unless it is an object with every required key and no
+    other key but the optional ones, each value passing its key's check
+    in _FIELDS.  The first fault is reported: a missing key in the order
+    given, else an unexpected key in sorted order, else a bad value."""
+    if not isinstance(x, dict):
+        raise RequestError(f"{where}: expected an object")
+    for key in required:
+        if key not in x:
+            raise RequestError(f"{where}: missing key {key!r}")
+    for key in sorted(x):
+        if key not in required + optional:
+            raise RequestError(f"{where}: unexpected key {key!r}")
+    for key in required + optional:
+        if key in x:
+            _FIELDS[key](x[key], f"{where}.{key}")
+
+
+def _check_value(x, where: str) -> None:
+    form = next((k for k in ("symbol", "root_of_unity", "numeric")
+                 if isinstance(x, dict) and k in x), None)
+    if form:
+        _check_object(x, where, (form,),
+                      ("on_circle", "power") if form == "symbol" else ())
+    elif not (type(x) is str and x):
+        raise RequestError(f"{where}: expected a non-empty string or an "
+                           "object with key 'symbol', 'root_of_unity' or "
+                           "'numeric'")
+
+
+_PAIR = (("generators", "values"), ())
+
+# a key means the same in every request: the check of its value
+_FIELDS = {
+    "generators": _list_of(_leaf(lambda x: _row(x, 6, int),
+                                 "a list of 6 integers"),
+                           "a list of at most 64 rows"),
+    "values": _list_of(_check_value, "a list of at most 64 values"),
+    "first": lambda x, where: _check_object(x, where, *_PAIR),
+    "second": lambda x, where: _check_object(x, where, *_PAIR),
+    "case": _leaf(lambda x: _row(x, 2, int) and tuple(x) in cases.CASES,
+                  "a rank pair, one of "
+                  + ", ".join(str(list(r)) for r in cases.CASES)),
+    "subset": _leaf(lambda x: isinstance(x, str), "a string"),
+    "symbol": _leaf(lambda x: type(x) is str and x, "a non-empty string"),
+    "on_circle": _leaf(lambda x: type(x) is bool, "true or false"),
+    "power": _leaf(lambda x: type(x) is int, "an integer"),
+    "root_of_unity": _leaf(lambda x: _row(x, 2, int), "a list of 2 integers"),
+    "numeric": _leaf(lambda x: _row(x, 2, str) and all(x),
+                     "a list of 2 non-empty strings"),
 }
 
 # ------------------------------------------------------- value construction
@@ -213,7 +194,10 @@ class _NumericLifter:
             return self._cache[key]
         try:
             z = complex(float(re_s), float(im_s))
+            finite = cmath.isfinite(z)
         except ValueError:
+            finite = False
+        if not finite:
             raise ValueError(f"bad decimal pair ({re_s!r}, {im_s!r})")
         if z == 0:
             raise ValueError("character values must be nonzero")
@@ -251,7 +235,7 @@ def _value(spec, lifter: _NumericLifter):
     if isinstance(spec, str):
         return symbol_value(ValueSymbol(spec, on_circle=False))
     if "symbol" in spec:
-        sym = ValueSymbol(spec["symbol"], bool(spec.get("on_circle", False)))
+        sym = ValueSymbol(spec["symbol"], spec.get("on_circle", False))
         return symbol_value(sym, spec.get("power", 1))
     if "root_of_unity" in spec:
         num, den = spec["root_of_unity"]
@@ -262,13 +246,11 @@ def _value(spec, lifter: _NumericLifter):
     return lifter.lift(re_s, im_s)
 
 
-def _pair_obj(spec: dict, lifter: _NumericLifter, need_values: bool):
+def _pair_obj(spec: dict, lifter: _NumericLifter):
     gens = [Elt(*row) for row in spec["generators"]]
     sub = subgroup(gens)
     raw = spec.get("values")
     if raw is None:
-        if need_values:
-            raise ValueError("this command needs character values")
         return sub, None
     if len(raw) != len(gens):
         raise ValueError("need exactly one value per generator")
@@ -281,7 +263,7 @@ def _pair_obj(spec: dict, lifter: _NumericLifter, need_values: bool):
 
 def _cmd_classify(payload, args):
     lifter = _NumericLifter(args.numeric_q, args.tolerance)
-    sub, chi = _pair_obj(payload, lifter, need_values=False)
+    sub, chi = _pair_obj(payload, lifter)
     if chi is not None:
         return classify.is_irreducible(sub, chi).to_json()
     nf = classify.normal_form(sub)
@@ -296,20 +278,20 @@ def _cmd_classify(payload, args):
 
 def _cmd_irreducible(payload, args):
     lifter = _NumericLifter(args.numeric_q, args.tolerance)
-    sub, chi = _pair_obj(payload, lifter, need_values=True)
+    sub, chi = _pair_obj(payload, lifter)
     return classify.is_irreducible(sub, chi).to_json()
 
 
 def _cmd_stratum(payload, args):
     lifter = _NumericLifter(args.numeric_q, args.tolerance)
-    sub, chi = _pair_obj(payload, lifter, need_values=True)
+    sub, chi = _pair_obj(payload, lifter)
     return classify.stratum(sub, chi).to_json()
 
 
 def _cmd_equivalent(payload, args):
     lifter = _NumericLifter(args.numeric_q, args.tolerance)
-    s1, c1 = _pair_obj(payload["first"], lifter, need_values=True)
-    s2, c2 = _pair_obj(payload["second"], lifter, need_values=True)
+    s1, c1 = _pair_obj(payload["first"], lifter)
+    s2, c2 = _pair_obj(payload["second"], lifter)
     return classify.equivalent(s1, c1, s2, c2)
 
 
@@ -330,7 +312,7 @@ def _cmd_ranks(payload, args):
 
 def _cmd_f_equivalents(payload, args):
     lifter = _NumericLifter(args.numeric_q, args.tolerance)
-    sub, chi = _pair_obj(payload, lifter, need_values=True)
+    sub, chi = _pair_obj(payload, lifter)
     return classify.f_equivalents(sub, chi, limit=args.limit)
 
 
@@ -359,16 +341,18 @@ def _cmd_enumerate(payload, args):
     return {"case": list(ranks), "count": len(items), "items": items}
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "irreducible": _cmd_irreducible,
-    "stratum": _cmd_stratum,
-    "equivalent": _cmd_equivalent,
-    "isolator": _cmd_isolator,
-    "ranks": _cmd_ranks,
-    "f-equivalents": _cmd_f_equivalents,
-    "verify": _cmd_verify,
-    "enumerate": _cmd_enumerate,
+# each command: its handler, and the required and the optional keys of
+# its payload
+_COMMANDS = {
+    "classify": (_cmd_classify, ("generators",), ("values",)),
+    "irreducible": (_cmd_irreducible, *_PAIR),
+    "stratum": (_cmd_stratum, *_PAIR),
+    "equivalent": (_cmd_equivalent, ("first", "second"), ()),
+    "isolator": (_cmd_isolator, ("generators",), ()),
+    "ranks": (_cmd_ranks, ("generators",), ()),
+    "f-equivalents": (_cmd_f_equivalents, *_PAIR),
+    "verify": (_cmd_verify, ("case",), ()),
+    "enumerate": (_cmd_enumerate, ("case",), ("subset",)),
 }
 
 # ----------------------------------------------------------------- output
@@ -446,16 +430,6 @@ def _human(command: str, res: dict) -> str:
 # ------------------------------------------------------------ entry point
 
 
-@functools.cache
-def _validator(command: str):
-    """Validator for one command's schema, checked against its metaschema
-    once rather than on every request."""
-    schema = _SCHEMAS[command]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
 def _read_payload(args) -> dict:
     if args.path == "-":
         text = sys.stdin.read()
@@ -465,17 +439,13 @@ def _read_payload(args) -> dict:
     obj = json.loads(text)
     if isinstance(obj, dict) and "command" in obj:
         if obj.get("command") != args.command:
-            raise jsonschema.ValidationError(
+            raise RequestError(
                 f"envelope names command {obj.get('command')!r} but the "
                 f"command line says {args.command!r}")
         if "payload" not in obj:
-            raise jsonschema.ValidationError("envelope without payload")
+            raise RequestError("envelope without payload")
         obj = obj["payload"]
-    # the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(
-        _validator(args.command).iter_errors(obj))
-    if error is not None:
-        raise error
+    _check_object(obj, "payload", *_COMMANDS[args.command][1:])
     return obj
 
 
@@ -545,8 +515,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload = _read_payload(args)
-        result = _HANDLERS[args.command](payload, args)
-    except (json.JSONDecodeError, jsonschema.ValidationError) as exc:
+        result = _COMMANDS[args.command][0](payload, args)
+    except (json.JSONDecodeError, RequestError) as exc:
         print(f"request error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

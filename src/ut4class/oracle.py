@@ -135,20 +135,19 @@ def _s_ball(H: Subgroup, chi, radius: int, outside_only: bool,
                 continue
         dom = None
         for B, E in _grid_points(rows, radius):
-            # conjugation by g does not see the central coordinate c, so
-            # the character record is one per (B, E)
-            rec = None
+            # neither membership in H, which holds the whole centre, nor
+            # conjugation by g sees the central coordinate c, so both
+            # are decided once per (B, E)
+            g = Elt(A, D, F, B, E, -radius)
+            if outside_only and contains(H, g):
+                continue
+            if dom is None:
+                dom = intersect(conjugate_subgroup(H, g0), H)
+            rec = (_character_record(chi, g, dom)
+                   if chi is not None and with_records else ())
+            kind = "in_S_of_H" if chi is None else "in_S_of_H_chi"
             for c in cs:
-                g = Elt(A, D, F, B, E, c)
-                if outside_only and contains(H, g):
-                    continue
-                if dom is None:
-                    dom = intersect(conjugate_subgroup(H, g0), H)
-                if rec is None:
-                    rec = (_character_record(chi, g, dom)
-                           if chi is not None and with_records else ())
-                kind = "in_S_of_H" if chi is None else "in_S_of_H_chi"
-                out.append(SWitness(g, kind, dom, rec))
+                out.append(SWitness(Elt(A, D, F, B, E, c), kind, dom, rec))
                 if limit is not None and len(out) >= limit:
                     return out
     return out

@@ -1,6 +1,7 @@
 """End-to-end tests for the JSON command line interface."""
 
 import cmath
+import io
 import json
 import math
 import os
@@ -10,8 +11,8 @@ import sys
 import time
 from fractions import Fraction
 
-import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ut4class
 
@@ -26,6 +27,18 @@ def run(tmp_path, capsys, cmd, payload, *flags):
     rc = cli.main([cmd, str(path), *flags])
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def replay(cmd, payload, *flags):
+    """One request on standard input: (exit code, stdout, stderr)."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = (io.StringIO(json.dumps(payload)),
+                                         io.StringIO(), io.StringIO())
+    try:
+        rc = cli.main([cmd, "-", *flags])
+        return rc, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
 
 
 def rows_for(ranks, params):
@@ -303,12 +316,16 @@ def test_capacity_exceeded_has_its_own_exit_code(tmp_path, capsys):
 
 
 def test_cli_import_leaves_numpy_out():
+    # nor any other module outside the standard library: the CLI checks
+    # requests itself, with no schema validator
     src = os.path.dirname(os.path.dirname(os.path.abspath(ut4class.__file__)))
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
-             "import ut4class.cli; print('numpy' in sys.modules)")
+             "before = set(sys.modules); import ut4class.cli; "
+             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+             " - set(sys.stdlib_module_names)))")
     proc = subprocess.run([sys.executable, "-c", probe, src],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "['ut4class']"
 
 
 def test_enumerate_contains_known_tuple(tmp_path, capsys):
@@ -358,15 +375,177 @@ def test_exit_code_for_malformed_requests(tmp_path, capsys):
     assert rc == 2 and "envelope" in err
 
 
-def test_schema_error_matches_jsonschema_validate(tmp_path, capsys):
-    # several violations at once, so the choice of the reported one counts
-    bad = {"generators": [[1, 2, 3], [0, 0, 0, 0, 0, "x"]], "extra": 1}
-    with pytest.raises(jsonschema.ValidationError) as want:
-        jsonschema.validate(bad, cli._SCHEMAS["ranks"])
-    for _ in range(2):  # the second request reuses the cached validator
-        rc, out, err = run(tmp_path, capsys, "ranks", bad)
-        assert (rc, out) == (2, "")
-        assert err == f"request error: {want.value}\n"
+def pair_11(value="lam"):
+    """A (1,1) request whose central value is `value`."""
+    return {"generators": PAIR_11, "values": ["t", "z", value]}
+
+
+def ranks_of(*rows, **keys):
+    return {"generators": list(rows), **keys}
+
+
+ROW = [0, 0, 0, 0, 0, 1]
+ANY_VALUE = ("a non-empty string or an object with key 'symbol', "
+             "'root_of_unity' or 'numeric'")
+RANK_PAIR = ("a rank pair, one of [1, 1], [2, 0], [2, 1], [1, 2], [2, 2], "
+             "[3, 2]")
+
+# one row per clause of a request's shape: the command and its flags, a
+# payload breaking the clause, the one-line refusal, and a valid twin
+REFUSALS = {
+    "missing key": ("ranks", (), {}, "payload: missing key 'generators'",
+                    ranks_of(ROW)),
+    "extra key": ("ranks", (), ranks_of(ROW, extra=1),
+                  "payload: unexpected key 'extra'", ranks_of(ROW)),
+    "not an object": ("ranks", (), [ROW], "payload: expected an object",
+                      ranks_of(ROW)),
+    "wrong type": ("ranks", (), {"generators": "rows"},
+                   "payload.generators: expected a list of at most 64 rows",
+                   ranks_of(ROW)),
+    "row of 5": ("ranks", (), ranks_of(ROW, [0, 0, 0, 0, 1]),
+                 "payload.generators[1]: expected a list of 6 integers",
+                 ranks_of(ROW, [0, 0, 0, 0, 1, 0])),
+    "'x' entry": ("ranks", (), ranks_of([0, 0, 0, 0, "x", 0]),
+                  "payload.generators[0]: expected a list of 6 integers",
+                  ranks_of([0, 0, 0, 0, 1, 0])),
+    "true entry": ("ranks", (), ranks_of([True, 0, 0, 0, 0, 0]),
+                   "payload.generators[0]: expected a list of 6 integers",
+                   ranks_of([1, 0, 0, 0, 0, 0])),
+    "1.0 entry": ("isolator", (), ranks_of([1.0, 0, 0, 0, 0, 0], ROW),
+                  "payload.generators[0]: expected a list of 6 integers",
+                  ranks_of([1, 0, 0, 0, 0, 0], ROW)),
+    "65 generators": ("ranks", (), ranks_of(*[ROW] * 65),
+                      "payload.generators: expected a list of at most 64 "
+                      "rows", ranks_of(*[ROW] * 64)),
+    "values missing": ("irreducible", (), {"generators": PAIR_11},
+                       "payload: missing key 'values'", pair_11()),
+    "values not a list": ("irreducible", (),
+                          {"generators": PAIR_11, "values": "lam"},
+                          "payload.values: expected a list of at most 64 "
+                          "values", pair_11()),
+    "65 values": ("irreducible", (),
+                  {"generators": PAIR_11, "values": ["t"] * 65},
+                  "payload.values: expected a list of at most 64 values",
+                  pair_11()),
+    "empty name": ("irreducible", (), pair_11(""),
+                   f"payload.values[2]: expected {ANY_VALUE}", pair_11()),
+    "number value": ("irreducible", (), pair_11(7),
+                     f"payload.values[2]: expected {ANY_VALUE}", pair_11()),
+    "no value form": ("irreducible", (), pair_11({"name": "lam"}),
+                      f"payload.values[2]: expected {ANY_VALUE}",
+                      pair_11({"symbol": "lam"})),
+    "empty symbol": ("irreducible", (), pair_11({"symbol": ""}),
+                     "payload.values[2].symbol: expected a non-empty string",
+                     pair_11({"symbol": "lam"})),
+    "on_circle 1": ("irreducible", (),
+                    pair_11({"symbol": "lam", "on_circle": 1}),
+                    "payload.values[2].on_circle: expected true or false",
+                    pair_11({"symbol": "lam", "on_circle": True})),
+    "power 1.0": ("irreducible", (), pair_11({"symbol": "lam", "power": 1.0}),
+                  "payload.values[2].power: expected an integer",
+                  pair_11({"symbol": "lam", "power": 1})),
+    "two forms": ("irreducible", (),
+                  pair_11({"symbol": "lam", "root_of_unity": [1, 3]}),
+                  "payload.values[2]: unexpected key 'root_of_unity'",
+                  pair_11({"root_of_unity": [1, 3]})),
+    "root of 1 entry": ("irreducible", (), pair_11({"root_of_unity": [1]}),
+                        "payload.values[2].root_of_unity: expected a list "
+                        "of 2 integers", pair_11({"root_of_unity": [1, 3]})),
+    "root 1.0": ("irreducible", (), pair_11({"root_of_unity": [1.0, 3]}),
+                 "payload.values[2].root_of_unity: expected a list of 2 "
+                 "integers", pair_11({"root_of_unity": [1, 3]})),
+    "numeric of 1 entry": ("irreducible", (), pair_11({"numeric": ["0.5"]}),
+                           "payload.values[2].numeric: expected a list of 2 "
+                           "non-empty strings",
+                           pair_11({"numeric": ["0.5", "0"]})),
+    "numeric numbers": ("irreducible", (), pair_11({"numeric": [0.5, 0]}),
+                        "payload.values[2].numeric: expected a list of 2 "
+                        "non-empty strings",
+                        pair_11({"numeric": ["0.5", "0"]})),
+    "numeric empty": ("irreducible", (), pair_11({"numeric": ["", "0"]}),
+                      "payload.values[2].numeric: expected a list of 2 "
+                      "non-empty strings", pair_11({"numeric": ["0", "1"]})),
+    "second pair": ("equivalent", (),
+                    {"first": pair_11(), "second": {"generators": PAIR_11}},
+                    "payload.second: missing key 'values'",
+                    {"first": pair_11(), "second": pair_11()}),
+    "not a rank pair": ("verify", ("--box", "0"), {"case": [3, 3]},
+                        f"payload.case: expected {RANK_PAIR}",
+                        {"case": [3, 2]}),
+    "case 1.0": ("enumerate", ("--box", "0"), {"case": [1.0, 1]},
+                 f"payload.case: expected {RANK_PAIR}", {"case": [1, 1]}),
+    "subset not a string": ("enumerate", ("--box", "0"),
+                            {"case": [1, 1], "subset": 1},
+                            "payload.subset: expected a string",
+                            {"case": [1, 1], "subset": "N1"}),
+    "envelope names another command": (
+        "ranks", (), {"command": "classify", "payload": ranks_of(ROW)},
+        "envelope names command 'classify' but the command line says "
+        "'ranks'", {"command": "ranks", "payload": ranks_of(ROW)}),
+    "envelope without payload": ("ranks", (), {"command": "ranks"},
+                                 "envelope without payload",
+                                 {"command": "ranks",
+                                  "payload": ranks_of(ROW)}),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_request_error_names_the_first_bad_field(name):
+    cmd, flags, bad, message, twin = REFUSALS[name]
+    for _ in range(2):  # the refusal is the same on a repeat
+        assert replay(cmd, bad, *flags) == (2, "",
+                                            f"request error: {message}\n")
+    assert replay(cmd, twin, *flags)[0] != 2
+
+
+INT = st.integers(-3, 3)
+VALUE = st.one_of(
+    st.sampled_from(["t", "z", "lam"]),
+    st.fixed_dictionaries({"symbol": st.sampled_from(["t", "w"])},
+                          optional={"on_circle": st.booleans(),
+                                    "power": INT}),
+    st.fixed_dictionaries({"root_of_unity": st.tuples(INT, INT).map(list)}),
+    st.fixed_dictionaries({"numeric": st.lists(
+        st.sampled_from(["0", "1", "-1", "0.5", "0.6", "0.8", "nan", "inf"]),
+        min_size=2, max_size=2)}))
+# an entry or a value that breaks the request's shape
+MALFORMED = st.one_of(INT.map(float), st.booleans(),
+                      st.floats(allow_nan=False), st.just("x"))
+
+
+@st.composite
+def cli_requests(draw):
+    """A request to a command that takes generators, well-formed or with
+    one malformed entry, value or extra key."""
+    cmd = draw(st.sampled_from(["ranks", "classify", "irreducible",
+                                "isolator"]))
+    rows = draw(st.one_of(
+        st.lists(st.lists(INT, min_size=6, max_size=6), max_size=4),
+        st.sampled_from([PAIR_11, FULL_GROUP]).map(
+            lambda rows: [list(row) for row in rows])))
+    payload = {"generators": rows}
+    if cmd == "irreducible" or (cmd == "classify" and draw(st.booleans())):
+        payload["values"] = [draw(VALUE) for _ in rows]
+    fault = draw(st.sampled_from([None, None, "entry", "value", "key"]))
+    if fault == "entry" and rows:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 5))] = draw(MALFORMED)
+    elif fault == "value" and payload.get("values"):
+        values = payload["values"]
+        values[draw(st.integers(0, len(values) - 1))] = {
+            "root_of_unity": [draw(MALFORMED), 3]}
+    elif fault == "key":
+        payload[draw(st.sampled_from(["extra", "values", "case"]))] = 1
+    return cmd, payload
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(cli_requests())
+def test_cli_fuzz_exits_cleanly_and_deterministically(request):
+    cmd, payload = request
+    first = replay(cmd, payload, "--json")
+    assert first[0] in (0, 2, 3, 5), first
+    assert replay(cmd, payload, "--json") == first
 
 
 def test_exit_code_for_preconditions(tmp_path, capsys):
