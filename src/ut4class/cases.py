@@ -11,7 +11,8 @@ table ``CASES``, which holds
     (``build_subgroup``) with ordered defining generators, and the reader
     of that tuple off a residue-canonical subgroup (``RankCase.shape``),
   * a partition of the admissible tuples into subsets by degeneration
-    pattern (``subset_of``),
+    pattern (``subset_of``), and the residue coordinates from which
+    ``ParamBox`` counts and walks the admissible tuples of a box,
   * irreducibility conditions on the character (``validity``),
   * generators of the normalizer with closed-form multiplier tables
     where a closed form is tabulated (``tabulated_action``),
@@ -46,7 +47,8 @@ from .characters import (
     solve_character,
     symbol_value,
 )
-from .subgroup import Subgroup, subgroup
+from .enumeration import ParamBox
+from .subgroup import ENUMERATION_CAP, CapacityError, Subgroup, subgroup
 
 
 class NoSubsetError(ValueError):
@@ -202,6 +204,11 @@ class RankCase:
     coords: tuple[str, ...]  # value names; the central one is "lambda"
 
     scanned = False  # irreducibility is decided by the finite-index scan
+    # (residue, modulus) name pairs: the residue coordinate enters the
+    # subset conditions only through the bound |residue| < |modulus|
+    residues = ()
+    # coordinates that no admissible tuple sets to zero
+    nonzero = ()
 
     def parse(self, params):
         """The named parameters plus the case's derived integers."""
@@ -223,11 +230,6 @@ class RankCase:
             return False
         return True
 
-    def enumerate(self, lo: int, hi: int) -> list:
-        """The admissible tuples in the box, in lexicographic order."""
-        return [p for p in iproduct(range(lo, hi + 1), repeat=len(self.names))
-                if self.admissible(p)]
-
     def action(self, q, subset: str, gi: int, v: dict):
         return None  # computed from first principles
 
@@ -237,7 +239,7 @@ class RankCase:
     def relations(self, q, subset: str, gens: list[Elt]) -> list:
         return []
 
-    def central_orders(self, q, bound: int) -> list[int]:
+    def central_orders(self, q, bound: int):
         raise ValueError("central orders are parameter-determined only for "
                          "the two level-2-saturated cases")
 
@@ -346,9 +348,10 @@ def relation_checks(ranks, subset: str, params):
 
 
 def central_orders(ranks, subset: str, params, bound: int = 2000) -> list[int]:
-    """Central-value orders compatible with the level-2 exponents."""
+    """Central-value orders up to the bound compatible with the level-2
+    exponents, in increasing order."""
     case, q = _parsed(ranks, params)
-    return case.central_orders(q, bound)
+    return list(case.central_orders(q, bound))
 
 
 def character_samples(ranks, subset: str, params) -> list[Character]:
@@ -381,15 +384,34 @@ def character_from_values(ranks, params, vals: dict) -> Character:
                            values + [vals.get("lambda", ONE)])
 
 
+def param_box(ranks, box: tuple[int, int]) -> ParamBox:
+    """The admissible tuples with all coordinates in [box[0], box[1]],
+    counted, walked lazily in lexicographic order and unranked without
+    being built (see ParamBox)."""
+    return ParamBox(_case(ranks), box)
+
+
 def enumerate_params(ranks, box: tuple[int, int], limit: int | None = None):
     """Admissible tuples with all coordinates in [box[0], box[1]],
-    lexicographically ordered; limit caps the output length."""
-    case = _case(ranks)
-    lo, hi = int(box[0]), int(box[1])
-    if lo > hi:
-        return []
-    found = case.enumerate(lo, hi)
-    return found if limit is None else found[:limit]
+    lexicographically ordered; limit caps the output length, and the walk
+    stops there."""
+    return list(islice(param_box(ranks, box), limit))
+
+
+def sweep_params(ranks, box: tuple[int, int], limit: int | None = None):
+    """The tuples a sweep of the box checks, and the box's count: every
+    admissible tuple, lazily in lexicographic order, or with a limit below
+    the count the limit tuples at ranks 0, s, 2s, ..., s = count // limit,
+    unranked from the box's blocks.  A sweep of more than ENUMERATION_CAP
+    tuples is refused with CapacityError before any is made."""
+    space = param_box(ranks, box)
+    checked = space.count if limit is None else min(space.count, limit)
+    if checked > ENUMERATION_CAP:
+        raise CapacityError(f"the sweep would check {checked} tuples, more "
+                            f"than {ENUMERATION_CAP}")
+    if checked < space.count:
+        return space.strided(limit), space.count
+    return space, space.count
 
 
 def conjugation_move(ranks, params, shift: int):
@@ -441,13 +463,6 @@ def _split_level2(moved: Subgroup) -> tuple[int, int]:
             "violates case structure: the level-2 lattice is not split "
             "along the coordinate axes")
     return l2[0][0], l2[1][1]
-
-
-def _residues(rng: range, modulus: int) -> list[int]:
-    # the residue coordinates enter the subset conditions only through the
-    # bounds |residue| < |modulus| that these ranges already enforce, so
-    # the first tuple of each block of residues decides the whole block
-    return [x for x in rng if abs(x) < abs(modulus)]
 
 
 def _lambda_rows(lam_cls: str, fibers, matched: bool = True,
@@ -668,6 +683,7 @@ class _Case20(RankCase):
     layer beyond the centre."""
 
     Params = namedtuple("Params20", "a b e f1 b1 e1")
+    nonzero = ("a", "f1")
 
     def generators(self, q) -> list[Elt]:
         return [elt(a=q.a, b=q.b, e=q.e), elt(f=q.f1, b=q.b1, e=q.e1)]
@@ -737,6 +753,7 @@ class _Case21(RankCase):
     """(2, 1): the two leading level-1 axes over the first level-2 axis."""
 
     Params = namedtuple("Params21", "a e d1 e1 k1 k2")
+    nonzero = ("a", "d1")
 
     def derive(self, a, e, d1, e1):
         return self.Params(a, e, d1, e1, _gcd(a, e), _gcd(d1, e1))
@@ -837,6 +854,8 @@ class _Case12(RankCase):
     """(1, 2): one level-1 generator over a full-rank level-2 lattice."""
 
     Params = namedtuple("Params12", "a d f b e b1 e1 d1_ f1_")
+    residues = (("b", "b1"), ("e", "e1"))
+    nonzero = ("d",)
 
     def derive(self, a, d, f, b, e, b1, e1):
         # d1_, f1_: the exponents of the normalizer generators elt(d=d1_)
@@ -953,11 +972,13 @@ class _Case12(RankCase):
                         lam_cls == "torsion",
                         "lambda torsion (z, w forced non-torsion)")]
 
-    def central_orders(self, q, bound: int) -> list[int]:
+    def central_orders(self, q, bound: int):
+        # b' and e' are orders modulo nu, so both divide nu
         a, f, b1, e1 = q.a, q.f, q.b1, q.e1
         cap = min(bound, abs(b1 * e1) * max(abs(a), 1) * max(abs(f), 1))
-        return [nu for nu in range(1, cap + 1)
-                if abs(b1) == _order(f, nu) and abs(e1) == _order(a, nu)]
+        step = _lcm(b1, e1)  # 0 if one is 0: no order is 0, so no nu
+        return (nu for nu in (range(step, cap + 1, step) if step else ())
+                if abs(b1) == _order(f, nu) and abs(e1) == _order(a, nu))
 
     def samples(self, q, subset: str) -> list[dict]:
         if subset == "A":
@@ -969,7 +990,7 @@ class _Case12(RankCase):
             ]
         return [{"t": _sym("t"), "z": _sym("z"), "w": _sym("w"),
                  "lambda": root_of_unity(1, nu)}
-                for nu in self.central_orders(q, 2000)[:2]]
+                for nu in islice(self.central_orders(q, 2000), 2)]
 
     def f_moves(self, q, subset: str, vals: dict):
         if subset == "A":
@@ -1018,6 +1039,7 @@ class _Case22(RankCase):
 
     Params = namedtuple("Params22",
                         "a f b e d1 f1 b1 e1 b2 e2 ft at dt cexp m1 m2 nn")
+    residues = (("b", "b2"), ("e", "e2"), ("b1", "b2"), ("e1", "e2"))
 
     def derive(self, a, f, b, e, d1, f1, b1, e1, b2, e2):
         # ft, at, dt: the normalizer exponents of subsets S1/S2, S3 and S4;
@@ -1217,18 +1239,20 @@ class _Case22(RankCase):
                 lambda v: v["lambda"] ** (-q.f1 * q.b2), None))
         return out
 
-    def central_orders(self, q, bound: int) -> list[int]:
+    def central_orders(self, q, bound: int):
+        # b'' and e'' are (lcms of) orders modulo nu, so both divide nu
         a, f, f1, b2, e2 = q.a, q.f, q.f1, q.b2, q.e2
         cap = min(bound, abs(b2 * e2) * max(abs(a), 1)
                   * max(abs(f), 1) * max(abs(f1), 1))
-        return [nu for nu in range(1, cap + 1)
+        step = _lcm(b2, e2)  # 0 if one is 0: no order is 0, so no nu
+        return (nu for nu in (range(step, cap + 1, step) if step else ())
                 if abs(b2) == _lcm(_order(f, nu), _order(f1, nu))
-                and abs(e2) == _order(a, nu)]
+                and abs(e2) == _order(a, nu))
 
     def samples(self, q, subset: str) -> list[dict]:
         m1, m2 = q.m1, q.m2
         out = []
-        for nu in self.central_orders(q, 2000)[:2]:
+        for nu in islice(self.central_orders(q, 2000), 2):
             lam = root_of_unity(1, nu)
             target = lam ** (-q.cexp)
             for j in (0, 1):
@@ -1250,19 +1274,6 @@ class _Case22(RankCase):
                 out.append({"t": _sym("t"), "s": _sym("s"), "z": zv, "w": wv,
                             "lambda": lam})
         return out
-
-    def enumerate(self, lo: int, hi: int) -> list:
-        rng = range(lo, hi + 1)
-        nz = [x for x in rng if x]
-        out = []
-        for a, f, d1, f1 in iproduct(rng, rng, rng, rng):
-            for b2, e2 in iproduct(nz, nz):
-                res_b, res_e = _residues(rng, b2), _residues(rng, e2)
-                block = [(a, f, b, e, d1, f1, b1, e1, b2, e2) for b, e, b1, e1
-                         in iproduct(res_b, res_e, res_b, res_e)]
-                if block and self.admissible(block[0]):
-                    out.extend(block)
-        return sorted(out)
 
     def f_moves(self, q, subset: str, vals: dict):
         a, f, b, e, d1, f1, b1, e1, b2, e2 = q[:10]
@@ -1286,6 +1297,9 @@ class _Case32(RankCase):
 
     Params = namedtuple("Params32", "a b e d1 b1 e1 f2 b2 e2 b3 e3 n3 m1 m2")
     scanned = True
+    residues = (("b", "b3"), ("e", "e3"), ("b1", "b3"), ("e1", "e3"),
+                ("b2", "b3"), ("e2", "e3"))
+    nonzero = ("a", "d1", "f2")
 
     def derive(self, a, b, e, d1, b1, e1, f2, b2, e2, b3, e3):
         # n3 is the central order; z**m1 and w**m2 carry the commutators of
@@ -1390,21 +1404,6 @@ class _Case32(RankCase):
                 out.append({"t": _sym("t"), "r": _sym("r"), "s": _sym("s"),
                             "z": zv, "w": wv, "lambda": lam})
         return out
-
-    def enumerate(self, lo: int, hi: int) -> list:
-        rng = range(lo, hi + 1)
-        nz = [x for x in rng if x]
-        out = []
-        for a, d1, f2 in iproduct(nz, nz, nz):
-            for b3 in [x for x in nz if a * d1 % x == 0]:
-                for e3 in [x for x in nz if d1 * f2 % x == 0]:
-                    res_b, res_e = _residues(rng, b3), _residues(rng, e3)
-                    block = [(a, b, e, d1, b1, e1, f2, b2, e2, b3, e3)
-                             for b, b1, b2 in iproduct(res_b, repeat=3)
-                             for e, e1, e2 in iproduct(res_e, repeat=3)]
-                    if block and self.admissible(block[0]):
-                        out.extend(block)
-        return sorted(out)
 
     def f_moves(self, q, subset: str, vals: dict):
         a, b, e, d1, b1, e1, f2, b2, e2, b3, e3, n3 = q[:12]

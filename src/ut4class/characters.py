@@ -6,9 +6,12 @@ fixed but generic nonzero complex number; ``on_circle`` symbols have
 modulus one without being roots of unity, other symbols have modulus
 different from one.  Distinct symbols are treated as multiplicatively
 independent, so two values are equal exactly when their torsion parts
-and exponent vectors agree.  Exponents are Fractions because root
+and exponent vectors agree.  Exponents are rational because root
 extraction (used when moving a character along a finite-index step)
-divides them.
+divides them; a value keeps its torsion part and its exponents as
+integers over one common denominator, so products, quotients, integer
+powers and evaluation are integer arithmetic, and fractions appear only
+in the printed form.
 
 A character is stored by its values on the canonical generators of its
 domain subgroup.  Evaluation extracts the coordinates of an element
@@ -19,6 +22,7 @@ values kill the derived subgroup, which ``validate`` checks.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -45,97 +49,157 @@ class ValueSymbol:
     on_circle: bool = False
 
 
-def _norm_exps(items) -> tuple[tuple[ValueSymbol, Fraction], ...]:
-    acc: dict[str, tuple[ValueSymbol, Fraction]] = {}
-    for sym, ex in items:
-        if type(ex) is not Fraction:
-            ex = Fraction(ex)
-        if sym.name in acc:
-            prev_sym, prev = acc[sym.name]
-            if prev_sym != sym:
-                raise ValueError(f"conflicting declarations for symbol {sym.name!r}")
-            ex = prev + ex
-        if ex:
-            acc[sym.name] = (sym, ex)
+def _scaled(powers, k: int) -> tuple[tuple[ValueSymbol, int], ...]:
+    """Every exponent times the nonzero integer k."""
+    return powers if k == 1 else tuple([(s, e * k) for s, e in powers])
+
+
+def _merge(xp, kx: int, yp, ky: int) -> tuple[tuple[ValueSymbol, int], ...]:
+    """kx * xp + ky * yp for two power tuples sorted by symbol name and
+    nonzero integers kx and ky: the exponents added name by name, zeros
+    dropped."""
+    if not yp:
+        return _scaled(xp, kx)
+    if not xp:
+        return _scaled(yp, ky)
+    out = []
+    i = j = 0
+    while i < len(xp) and j < len(yp):
+        (s, e), (t, f) = xp[i], yp[j]
+        if s.name < t.name:
+            out.append((s, e * kx))
+            i += 1
+        elif t.name < s.name:
+            out.append((t, f * ky))
+            j += 1
         else:
-            acc.pop(sym.name, None)
-    return tuple(acc[k] for k in sorted(acc))
+            if s is not t and s != t:
+                raise ValueError(
+                    f"conflicting declarations for symbol {s.name!r}")
+            if e * kx + f * ky:
+                out.append((s, e * kx + f * ky))
+            i += 1
+            j += 1
+    if i < len(xp):
+        out += [(s, e * kx) for s, e in xp[i:]]
+    if j < len(yp):
+        out += [(t, f * ky) for t, f in yp[j:]]
+    return tuple(out)
 
 
-@dataclass(frozen=True)
+def _value(num: int, den: int, powers) -> "UnitValue":
+    """The value exp(2*pi*i*num/den) * prod(s**(e/den)), in lowest terms."""
+    if den == 1:
+        return UnitValue(0, 1, powers)
+    num %= den
+    g = math.gcd(den, num, *[e for _, e in powers])
+    if g > 1:
+        num, den = num // g, den // g
+        powers = tuple([(s, e // g) for s, e in powers])
+    return UnitValue(num, den, powers)
+
+
+def _product(x: "UnitValue", kx: int, y: "UnitValue", ky: int) -> "UnitValue":
+    """x**kx * y**ky for nonzero integers kx and ky."""
+    den = x.den
+    if den != y.den:
+        den = math.lcm(den, y.den)
+        kx *= den // x.den
+        ky *= den // y.den
+    return _value(x.num * kx + y.num * ky, den,
+                  _merge(x.powers, kx, y.powers, ky))
+
+
+@dataclass(slots=True)
 class UnitValue:
-    """torsion part exp(2*pi*i*torsion) times a product of symbol powers."""
+    """exp(2*pi*i*num/den) times the product of s**(e/den) over the pairs
+    (s, e) of powers.
 
-    torsion: Fraction = Fraction(0)
-    exps: tuple[tuple[ValueSymbol, Fraction], ...] = ()
+    The fields are kept in lowest terms: 0 <= num < den, every exponent e
+    is a nonzero integer, powers is sorted by symbol name, and den is the
+    least common denominator of the torsion part and the exponents.  So
+    equal values have equal fields, and the group operations are integer
+    arithmetic.  A value is never changed after it is made (it is not
+    frozen only because a frozen dataclass takes three times as long to
+    make, and the operations make one each).
+    """
 
-    # every constructor leaves exps normalized, so a product with a pure
-    # root of unity, or an integer power, needs no renormalization
+    num: int = 0
+    den: int = 1
+    powers: tuple[tuple[ValueSymbol, int], ...] = ()
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den, self.powers))
+
     def __mul__(self, other: "UnitValue") -> "UnitValue":
-        if not other.exps:
-            exps = self.exps
-        elif not self.exps:
-            exps = other.exps
-        else:
-            exps = _norm_exps(self.exps + other.exps)
-        return UnitValue((self.torsion + other.torsion) % 1, exps)
+        return _product(self, 1, other, 1)
 
     def __truediv__(self, other: "UnitValue") -> "UnitValue":
-        if not other.exps:
-            exps = self.exps
-        else:
-            exps = _norm_exps(self.exps + tuple((s, -e) for s, e in other.exps))
-        return UnitValue((self.torsion - other.torsion) % 1, exps)
+        return _product(self, 1, other, -1)
 
     def __pow__(self, r) -> "UnitValue":
-        if isinstance(r, int) and r:
-            return UnitValue((self.torsion * r) % 1,
-                             tuple((s, e * r) for s, e in self.exps))
-        r = Fraction(r)
-        return UnitValue((self.torsion * r) % 1,
-                         _norm_exps((s, e * r) for s, e in self.exps))
+        if isinstance(r, int):
+            p, q = r, 1
+        else:
+            if not isinstance(r, Fraction):
+                r = Fraction(r)
+            p, q = r.numerator, r.denominator
+        if not p:
+            return ONE
+        return _value(self.num * p, self.den * q, _scaled(self.powers, p))
 
     def roots(self, m: int) -> Iterator["UnitValue"]:
         """All m-th roots, lazily: the principal root twisted by the k-th
         m-th root of unity for k = 0, 1, ..., m - 1."""
         if m <= 0:
             raise ValueError("root order must be positive")
-        pr = self ** Fraction(1, m)
+        pr = _value(self.num, self.den * m, self.powers)
         return (pr * root_of_unity(k, m) for k in range(m))
 
     @property
+    def torsion(self) -> Fraction:
+        """The torsion part as a fraction of a full turn."""
+        return Fraction(self.num, self.den)
+
+    @property
+    def exps(self) -> tuple[tuple[ValueSymbol, Fraction], ...]:
+        """The symbol exponents as fractions."""
+        return tuple((s, Fraction(e, self.den)) for s, e in self.powers)
+
+    @property
     def is_one(self) -> bool:
-        return self.torsion == 0 and not self.exps
+        return self.den == 1 and not self.powers
 
     @property
     def is_root_of_unity(self) -> bool:
-        return not self.exps
+        return not self.powers
 
     def value_order(self) -> int | None:
         """Multiplicative order, or None when infinite."""
-        return self.torsion.denominator if self.is_root_of_unity else None
+        return None if self.powers else self.den
 
     def modulus_class(self) -> str:
         """'off_circle', 'circle_free' (modulus one, infinite order) or 'torsion'."""
-        if any(not s.on_circle and e for s, e in self.exps):
+        if any(not s.on_circle for s, _ in self.powers):
             return "off_circle"
-        if self.exps:
+        if self.powers:
             return "circle_free"
         return "torsion"
 
     def numeric(self, assign: Mapping[str, complex]) -> complex:
         """Numeric value for concrete symbol assignments (principal branches)."""
-        out = cmath.exp(2j * cmath.pi * float(self.torsion))
-        for s, e in self.exps:
-            out *= cmath.exp(float(e) * cmath.log(complex(assign[s.name])))
+        out = cmath.exp(2j * cmath.pi * self.num / self.den)
+        for s, e in self.powers:
+            out *= cmath.exp(e / self.den * cmath.log(complex(assign[s.name])))
         return out
 
     def __str__(self) -> str:
         parts = []
-        if self.torsion:
+        if self.num:
             parts.append(f"zeta({self.torsion})")
-        for s, e in self.exps:
-            parts.append(s.name if e == 1 else f"{s.name}^{e}")
+        for s, e in self.powers:
+            parts.append(s.name if e == self.den
+                         else f"{s.name}^{Fraction(e, self.den)}")
         return " * ".join(parts) if parts else "1"
 
 
@@ -144,11 +208,13 @@ ONE = UnitValue()
 
 def root_of_unity(num, den=1) -> UnitValue:
     """exp(2*pi*i*num/den)."""
-    return UnitValue(Fraction(num, den) % 1, ())
+    return _value(num, den, ()) if den > 0 else _value(-num, -den, ())
 
 
 def symbol_value(sym: ValueSymbol, exp=1) -> UnitValue:
-    return UnitValue(Fraction(0), _norm_exps([(sym, Fraction(exp))]))
+    if isinstance(exp, int):
+        return UnitValue(0, 1, ((sym, exp),) if exp else ())
+    return UnitValue(0, 1, ((sym, 1),)) ** exp
 
 
 @dataclass(frozen=True)
@@ -193,20 +259,22 @@ def evaluate(chi: Character, g: Elt) -> UnitValue:
     quots, rep = decompose(chi.sub, g)
     if rep != IDENTITY:
         raise ValueError("element outside the character's domain")
-    # the product of v ** q over the generators, summed in one pass;
-    # zip drops val_c when the domain has no centre part (no quotient)
-    num, den = 0, 1
-    exps: list = []
+    # the product of v ** q over the generators as one integer dot product
+    # over their common denominator; zip drops val_c when the domain has no
+    # centre part (no quotient)
+    num, den, powers = 0, 1, ()
     for q, v in zip(quots, chi.vals1 + chi.vals2 + (chi.val_c,)):
-        if q:
-            t = v.torsion
-            if t:
-                d = t.denominator
-                num = num * d + q * t.numerator * den
-                den *= d
-            exps.extend((s, e * q) for s, e in v.exps)
-    return UnitValue(Fraction(num % den, den),
-                     _norm_exps(exps) if exps else ())
+        if not q:
+            continue
+        if den % v.den:  # bring the sum so far to the new denominator
+            scale = math.lcm(den, v.den) // den
+            num, den = num * scale, den * scale
+            powers = _scaled(powers, scale)
+        k = q * (den // v.den)
+        num += k * v.num
+        if v.powers:
+            powers = _merge(powers, 1, v.powers, k)
+    return _value(num, den, powers)
 
 
 def solve_character(sub: Subgroup, gens: Sequence[Elt],
@@ -277,29 +345,24 @@ def power_solutions(x: UnitValue, y: UnitValue):
         return "all" if x.is_one else None
     m = y.value_order()
     if m is not None:
-        # y is a primitive m-th root of unity; x must be pure torsion and
-        # the congruence n * num(y) = -num(x) (mod m) pins n modulo m
-        if any(e for _, e in x.exps):
+        # y is the primitive m-th root of unity zeta(num(y)/m); x must be an
+        # m-th root of unity, and n * num(y) = -num(x) * m/den(x) (mod m)
+        # pins n modulo m
+        if x.powers or m % x.den:
             return None
-        t = -x.torsion * m
-        if t.denominator != 1:
-            return None
-        p = int(y.torsion * m) % m
-        _, pinv, _ = intlin.xgcd(p, m)
-        n0 = (int(t) * pinv) % m
+        _, pinv, _ = intlin.xgcd(y.num, m)
+        n0 = (-x.num * (m // x.den) * pinv) % m
         return (n0, m) if (x * y ** n0).is_one else None
-    # infinite order: matching any nonzero exponent of y pins n uniquely
-    xe = dict(x.exps)
+    # infinite order: matching any exponent of y pins n uniquely
+    xe = dict(x.powers)
     n = None
-    for s, ye in y.exps:
-        if not ye:
-            continue
-        cand = -xe.get(s, 0) / ye
-        if cand.denominator != 1:
+    for s, ye in y.powers:
+        cand, rem = divmod(-xe.get(s, 0) * y.den, ye * x.den)
+        if rem:
             return None
         if n is None:
-            n = int(cand)
-        elif n != int(cand):
+            n = cand
+        elif n != cand:
             return None
     if n is None or not (x * y ** n).is_one:
         return None

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 from . import cases, intlin
@@ -343,29 +342,19 @@ def _monomial_solve(factors: list[dict], target: dict):
     give one congruence per slot.  Returns the exponent list or None.
     """
     slots = sorted(target)
-    syms: list = []
-    for fac in factors + [target]:
-        for val in fac.values():
-            for s, _ in val.exps:
-                if s not in syms:
-                    syms.append(s)
-    denoms = [1]
-    for fac in factors + [target]:
-        for val in fac.values():
-            denoms.append(val.torsion.denominator)
-            denoms.extend(e.denominator for _, e in val.exps)
-    scale = 1
-    for d in denoms:
-        scale = scale * d // math.gcd(scale, d)
+    values = [val for fac in factors + [target] for val in fac.values()]
+    syms = list(dict.fromkeys(s for val in values for s, _ in val.powers))
+    scale = math.lcm(*(val.den for val in values))
     ncols = len(slots) * (len(syms) + 1)
 
     def encode(fac: dict) -> list[int]:
         row = []
         for name in slots:
             val = fac.get(name, ONE)
-            em = dict(val.exps)
-            row.extend(int(scale * em.get(s, Fraction(0))) for s in syms)
-            row.append(int(scale * val.torsion))
+            k = scale // val.den
+            em = dict(val.powers)
+            row.extend(k * em.get(s, 0) for s in syms)
+            row.append(k * val.num)
         return row
 
     rows = [encode(f) for f in factors]

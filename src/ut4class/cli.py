@@ -325,7 +325,7 @@ def _cmd_enumerate(payload, args):
     ranks = tuple(payload["case"])
     want = payload.get("subset")
     items = []
-    for p in cases.enumerate_params(ranks, (-args.box, args.box)):
+    for p in cases.param_box(ranks, (-args.box, args.box)):
         ss = cases.subset_of(ranks, p)
         if want is not None and ss != want:
             continue
@@ -436,7 +436,12 @@ def _read_payload(args) -> dict:
     else:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, and the errors of the decoder itself: an integer
+        # past Python's digit limit, or nesting past the recursion limit
+        raise RequestError(str(exc)) from None
     if isinstance(obj, dict) and "command" in obj:
         if obj.get("command") != args.command:
             raise RequestError(
@@ -516,7 +521,7 @@ def main(argv=None) -> int:
     try:
         payload = _read_payload(args)
         result = _COMMANDS[args.command][0](payload, args)
-    except (json.JSONDecodeError, RequestError) as exc:
+    except RequestError as exc:
         print(f"request error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -233,25 +233,25 @@ def _closed(rep: dict, bucket: str, key: tuple, params, extra: dict):
 
 
 def verify_case(ranks, parameter_box, limit: int | None = None) -> dict:
-    """Sweep every admissible tuple in the box and compare each tabulated
+    """Sweep the admissible tuples of the box and compare each tabulated
     formula with a first-principles computation.
 
     Exact mismatches go to "discrepancies"; displayed variants that differ
     from the computed action but are recorded as readings go to
     "alternate_readings"; tuples without a valid sample go to "notes".
-    With a limit, tuples are taken with an even stride across the box.
+    With a limit below the box's count, the tuples are those of ranks 0,
+    s, 2s, ... in lexicographic order, s = count // limit, unranked
+    without building the box; a sweep of more than ENUMERATION_CAP tuples
+    is refused with CapacityError (cases.sweep_params).
     """
     ranks = tuple(ranks)
     report: dict = {"case": list(ranks), "params_checked": 0,
                     "discrepancies": [], "alternate_readings": [],
                     "notes": []}
-    todo = cases.enumerate_params(ranks, parameter_box)
-    if limit is not None and len(todo) > limit:
-        total = len(todo)
-        stride = total // limit
-        todo = todo[::stride][:limit]
+    todo, total = cases.sweep_params(ranks, parameter_box, limit)
+    if limit is not None and total > limit:
         report["notes"].append({
-            "note": "strided sweep", "checked": len(todo), "of": total})
+            "note": "strided sweep", "checked": limit, "of": total})
     for p in todo:
         report["params_checked"] += 1
         ss = cases.subset_of(ranks, p)

@@ -1,5 +1,6 @@
 """Parameter enumeration, refusals and moves of the case tables."""
 
+import math
 import time
 from itertools import product
 
@@ -7,6 +8,42 @@ import pytest
 
 from ut4class import cases
 from ut4class.characters import ValueSymbol, symbol_value
+from ut4class.subgroup import CapacityError
+
+
+def _membership(ranks, box, tuples=None):
+    """The tuples that pass a membership test, sorted; by default every
+    tuple of the box's full product is tested."""
+    if tuples is None:
+        tuples = product(range(box[0], box[1] + 1),
+                         repeat=cases.PARAM_LENGTH[ranks])
+    want = []
+    for p in tuples:
+        try:
+            cases.subset_of(ranks, p)
+        except cases.NoSubsetError:
+            continue
+        want.append(p)
+    return sorted(want)
+
+
+def _bounded_product(ranks, box):
+    """The tuples of the box whose residue coordinates satisfy the bound
+    |residue| < |modulus| that every subset condition imposes, in no
+    particular order: a superset of the admissible tuples, small enough
+    to test one by one where the full product is not."""
+    case = cases.CASES[ranks]
+    names = case.names
+    res = dict(case.residues)
+    keys = [n for n in names if n not in res]
+    rng = range(box[0], box[1] + 1)
+    for kv in product(rng, repeat=len(keys)):
+        val = dict(zip(keys, kv))
+        ranges = [[x for x in rng if abs(x) < abs(val[res[n]])]
+                  for n in res]
+        for rv in product(*ranges):
+            val.update(zip(res, rv))
+            yield tuple(val[n] for n in names)
 
 
 @pytest.mark.parametrize("ranks", [(2, 2), (3, 2)])
@@ -14,16 +51,82 @@ from ut4class.characters import ValueSymbol, symbol_value
 def test_enumerate_params_matches_the_full_product(ranks, box):
     # the structured enumeration decides a block of residues by its first
     # tuple; a membership test of every tuple in the box must agree
-    want = []
-    for p in product(range(box[0], box[1] + 1),
-                     repeat=cases.PARAM_LENGTH[ranks]):
-        try:
-            cases.subset_of(ranks, p)
-        except cases.NoSubsetError:
-            continue
-        want.append(p)
+    want = _membership(ranks, box)
     assert cases.enumerate_params(ranks, box) == want
     assert want
+
+
+SMALL = [(1, 1), (2, 0), (2, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("ranks, half", [
+    pytest.param(r, h, id=f"{r}-{h}")
+    for r, h in [*product(cases.RANK_PAIRS, (1, 2)),
+                 *product(SMALL, (3,))]])
+def test_strided_tuples_match_the_sorted_box(ranks, half):
+    # the full product of (2,2) and (3,2) at half-width 2 holds 9.8 and
+    # 48.8 million tuples, so there only the residue-bounded product is
+    # tested; the full product agrees with it at half-width 1 above
+    box = (-half, half)
+    full = _membership(ranks, box, None if ranks in SMALL or half == 1
+                       else _bounded_product(ranks, box))
+    space = cases.param_box(ranks, box)
+    assert space.count == len(full)
+    assert list(space) == full
+    n = len(full)
+    for limit in sorted({1, 7, 100, n - 1, n, n + 1} - {0}):
+        assert space.strided(limit) == full[::max(n // limit, 1)][:limit]
+    for limit in (1, 7, 100):
+        assert cases.enumerate_params(ranks, box, limit) == full[:limit]
+
+
+def test_sweep_params_strides_only_below_the_count():
+    space = cases.param_box((2, 1), (-2, 2))
+    assert cases.sweep_params((2, 1), (-2, 2), 100) == (space.strided(100),
+                                                         400)
+    todo, total = cases.sweep_params((2, 1), (-2, 2), 400)
+    assert (list(todo), total) == (list(space), 400)
+
+
+@pytest.mark.parametrize("limit, checked", [(None, 2478336),
+                                            (200001, 200001)])
+def test_sweeps_past_the_cap_are_refused_at_once(limit, checked):
+    # (2,2) at half-width 3 holds 2,478,336 tuples in 25,344 blocks
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError,
+                       match=f"the sweep would check {checked} tuples"):
+        cases.sweep_params((2, 2), (-3, 3), limit)
+    assert time.perf_counter() - t0 < 5
+
+
+def _scanned_orders(ranks, q, bound=2000):
+    """The central orders by a scan of every nu up to the cap."""
+    def order(x, m):
+        return abs(m) // math.gcd(x, m)
+
+    if ranks == (1, 2):
+        cap = min(bound, abs(q.b1 * q.e1) * max(abs(q.a), 1)
+                  * max(abs(q.f), 1))
+        return [nu for nu in range(1, cap + 1) if abs(q.b1) == order(q.f, nu)
+                and abs(q.e1) == order(q.a, nu)]
+    cap = min(bound, abs(q.b2 * q.e2) * max(abs(q.a), 1) * max(abs(q.f), 1)
+              * max(abs(q.f1), 1))
+    return [nu for nu in range(1, cap + 1)
+            if abs(q.b2) == math.lcm(order(q.f, nu), order(q.f1, nu))
+            and abs(q.e2) == order(q.a, nu)]
+
+
+@pytest.mark.parametrize("ranks", [(1, 2), (2, 2)])
+def test_central_orders_match_the_linear_scan(ranks):
+    # every box-3 tuple of (1,2), and one tuple per block of (2,2), whose
+    # 2,478,336 tuples are too many: the orders read no residue coordinate
+    box = cases.param_box(ranks, (-3, 3))
+    tuples = (list(box) if ranks == (1, 2)
+              else [low for low, _, _ in box.blocks])
+    for p in tuples:
+        want = _scanned_orders(ranks, cases.CASES[ranks].parse(p))
+        assert cases.central_orders(ranks, cases.subset_of(ranks, p),
+                                    p) == want, p
 
 
 def _first(ranks):

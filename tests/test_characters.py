@@ -1,10 +1,12 @@
 """Formal character values and evaluation on subgroups."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ut4class import cases
 from ut4class.characters import (
@@ -40,6 +42,100 @@ def test_unit_value_group_laws():
     assert (a ** 3).torsion == 0  # (1/3)*3 wraps
 
 
+class RefValue:
+    """A reference model of the value group: the torsion part as a
+    Fraction modulo 1 and the exponents as Fractions, name by name."""
+
+    def __init__(self, torsion, exps=()):
+        self.torsion = Fraction(torsion) % 1
+        self.exps = {s.name: (s, Fraction(e)) for s, e in exps if e}
+
+    def __mul__(self, other):
+        exps = dict(self.exps)
+        for name, (s, e) in other.exps.items():
+            if name in exps:
+                if exps[name][0] != s:
+                    raise ValueError(
+                        f"conflicting declarations for symbol {name!r}")
+                e += exps[name][1]
+            exps[name] = (s, e)
+        return RefValue(self.torsion + other.torsion, exps.values())
+
+    def __truediv__(self, other):
+        return self * other ** -1
+
+    def __pow__(self, r):
+        r = Fraction(r)
+        return RefValue(self.torsion * r,
+                        [(s, e * r) for s, e in self.exps.values()])
+
+    def roots(self, m):
+        pr = self ** Fraction(1, m)
+        return [pr * RefValue(Fraction(k, m)) for k in range(m)]
+
+    def __str__(self):
+        parts = [f"zeta({self.torsion})"] if self.torsion else []
+        for name in sorted(self.exps):
+            s, e = self.exps[name]
+            parts.append(name if e == 1 else f"{name}^{e}")
+        return " * ".join(parts) if parts else "1"
+
+
+def agree(v: UnitValue, ref: RefValue) -> bool:
+    """v is the reference value, in lowest terms, with the same readings."""
+    exps = [e for _, e in v.powers]
+    return (0 <= v.num < v.den and 0 not in exps
+            and math.gcd(v.den, v.num, *exps) == 1
+            and [s.name for s, _ in v.powers]
+            == sorted(s.name for s, _ in v.powers)
+            and Fraction(v.num, v.den) == ref.torsion
+            and {s.name: (s, Fraction(e, v.den)) for s, e in v.powers}
+            == ref.exps
+            and v.is_one == (not ref.torsion and not ref.exps)
+            and v.value_order() == (None if ref.exps
+                                    else ref.torsion.denominator)
+            and v.modulus_class() == (
+                "off_circle" if any(not s.on_circle
+                                    for s, _ in ref.exps.values())
+                else "circle_free" if ref.exps else "torsion")
+            and str(v) == str(ref))
+
+
+SYMBOLS = [Z, W, LAM]
+_atoms = st.one_of(
+    st.builds(lambda p, q: (root_of_unity(p, q), RefValue(Fraction(p, q))),
+              st.integers(-30, 30), st.integers(1, 12)),
+    st.builds(lambda s, k: (symbol_value(s, k), RefValue(0, [(s, k)])),
+              st.sampled_from(SYMBOLS), st.integers(-3, 3)))
+_pairs = st.recursive(_atoms, lambda kids: st.one_of(
+    st.builds(lambda x, y: (x[0] * y[0], x[1] * y[1]), kids, kids),
+    st.builds(lambda x, y: (x[0] / y[0], x[1] / y[1]), kids, kids),
+    st.builds(lambda x, k: (x[0] ** k, x[1] ** k), kids, st.integers(-5, 5)),
+    st.builds(lambda x, p, q: (x[0] ** Fraction(p, q), x[1] ** Fraction(p, q)),
+              kids, st.integers(-3, 3), st.integers(1, 4))), max_leaves=6)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_pairs, _pairs, st.integers(-6, 6), st.integers(1, 5))
+def test_unit_value_agrees_with_the_fraction_model(x, y, k, m):
+    for v, ref in (x, y, (x[0] * y[0], x[1] * y[1]),
+                   (x[0] / y[0], x[1] / y[1]), (x[0] ** k, x[1] ** k),
+                   (x[0] ** Fraction(k, m), x[1] ** Fraction(k, m))):
+        assert agree(v, ref), (v, str(ref))
+    roots = list(x[0].roots(m))
+    assert all(agree(v, ref) for v, ref in zip(roots, x[1].roots(m)))
+    assert len(roots) == m and all(r ** m == x[0] for r in roots)
+
+
+@pytest.mark.parametrize("op", ["mul", "div"])
+def test_conflicting_symbol_declarations_are_refused(op):
+    on = symbol_value(ValueSymbol("u", on_circle=True))
+    off = symbol_value(ValueSymbol("u")) * root_of_unity(1, 3)
+    with pytest.raises(ValueError,
+                       match="conflicting declarations for symbol 'u'"):
+        on * off if op == "mul" else off / on
+
+
 def test_unit_value_roots():
     v = symbol_value(Z, 2) * root_of_unity(1, 2)
     rs = list(v.roots(4))
@@ -70,6 +166,10 @@ def test_power_solutions():
     assert power_solutions(ONE, lam) == (0, 0)
     assert power_solutions(lam ** 3, lam) == (-3, 0)
     assert power_solutions(lam, lam ** 2) is None  # odd power needed
+    # exponents and torsion parts over different denominators
+    assert power_solutions(lam ** Fraction(1, 2), lam ** Fraction(1, 4)) == (-2, 0)
+    assert power_solutions(lam ** Fraction(1, 3), lam ** Fraction(1, 2)) is None
+    assert power_solutions(root_of_unity(1, 3), w) == (4, 6)
     assert power_solutions(ONE, ONE) == "all"
     assert power_solutions(lam, ONE) is None
 
@@ -94,23 +194,25 @@ def test_numeric_consistency():
 def test_character_on_abelian_subgroup_is_multiplicative():
     h = subgroup([elt(a=1, f=1), elt(b=1, e=1), elt(c=1)])
     assert h.c0 == 1
-    chi = character(
-        h,
-        vals1=[symbol_value(Z)],
-        vals2=[symbol_value(W)],
-        val_c=symbol_value(LAM),
-    )
-    chi.validate()
-    rng = random.Random(67)
-    gens = h.generators()
-    pool = [IDENTITY]
-    for _ in range(40):
-        g = gens[rng.randrange(len(gens))]
-        pool.append(compose(pool[rng.randrange(len(pool))], power(g, rng.randint(-2, 2))))
-    for _ in range(40):
-        x = pool[rng.randrange(len(pool))]
-        y = pool[rng.randrange(len(pool))]
-        assert evaluate(chi, compose(x, y)) == evaluate(chi, x) * evaluate(chi, y)
+    for vals in [
+        (symbol_value(Z), symbol_value(W), symbol_value(LAM)),
+        # torsion parts and exponents over different denominators
+        (root_of_unity(1, 2) * symbol_value(Z) ** Fraction(1, 3),
+         root_of_unity(1, 3),
+         symbol_value(LAM, -1) ** Fraction(1, 2) * root_of_unity(3, 4)),
+    ]:
+        chi = character(h, vals1=[vals[0]], vals2=[vals[1]], val_c=vals[2])
+        chi.validate()
+        rng = random.Random(67)
+        gens = h.generators()
+        pool = [IDENTITY]
+        for _ in range(40):
+            g = gens[rng.randrange(len(gens))]
+            pool.append(compose(pool[rng.randrange(len(pool))], power(g, rng.randint(-2, 2))))
+        for _ in range(40):
+            x = pool[rng.randrange(len(pool))]
+            y = pool[rng.randrange(len(pool))]
+            assert evaluate(chi, compose(x, y)) == evaluate(chi, x) * evaluate(chi, y)
 
 
 def test_character_must_kill_derived_subgroup():

@@ -375,6 +375,50 @@ def test_exit_code_for_malformed_requests(tmp_path, capsys):
     assert rc == 2 and "envelope" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[" + "9" * 5000 + "]", "Exceeds the limit (4300 digits)"),
+    ("[" * 100000, "maximum recursion depth exceeded"),
+], ids=["5000-digit integer", "nested 100000 deep"])
+def test_undecodable_json_is_a_request_error(tmp_path, capsys, text, message):
+    # the decoder's own ValueError and RecursionError, not only
+    # JSONDecodeError, mean a malformed request
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    rc = cli.main(["ranks", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("request error: ") and message in err
+
+
+def test_oversized_box_is_refused_at_once(tmp_path, capsys):
+    t0 = time.perf_counter()
+    rc, out, err = run(tmp_path, capsys, "enumerate", {"case": [3, 2]},
+                       "--box", "1000000", "--limit", "1")
+    assert time.perf_counter() - t0 < 1
+    assert (rc, out) == (5, "")
+    assert err == ("capacity exceeded: the parameter box spans more than "
+                   "200000 blocks of tuples\n")
+    rc, _, err = run(tmp_path, capsys, "verify", {"case": [2, 0]},
+                     "--box", "4")
+    assert rc == 5 and "blocks of tuples" in err
+
+
+def test_large_boxes_answer_quickly(tmp_path, capsys):
+    # the first tuple of a box with 144,937,184 admissible tuples, and the
+    # 100 tuples of a strided sweep of one with 127,264
+    t0 = time.perf_counter()
+    rc, out, _ = run(tmp_path, capsys, "enumerate", {"case": [3, 2]},
+                     "--json", "--box", "4", "--limit", "1")
+    assert time.perf_counter() - t0 < 1
+    assert rc == 0
+    assert json.loads(out)["items"][0]["params"] == [-4, -3, -3, -4, -3, -3,
+                                                      -4, -3, -3, -4, -4]
+    t0 = time.perf_counter()
+    todo, total = cases.sweep_params((3, 2), (-2, 2), 100)
+    assert time.perf_counter() - t0 < 0.1
+    assert (len(todo), total) == (100, 127264)
+
+
 def pair_11(value="lam"):
     """A (1,1) request whose central value is `value`."""
     return {"generators": PAIR_11, "values": ["t", "z", value]}
