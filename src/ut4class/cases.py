@@ -4,27 +4,19 @@ A weight pair is a subgroup of the unitriangular group together with a
 character of it.  The classification is organized by the rank pair
 (r1, r2) of the subgroup: r1 is the rank of its image modulo the derived
 span, r2 the rank of the level-2 layer modulo the centre.  Six rank
-pairs support irreducible pairs.  Each has one ``RankCase`` record in the
-table ``CASES``, which holds
+pairs support irreducible pairs.  Each has one class in the table
+``CASES``: a namedtuple of exactly its named parameters, with the mixin
+``RankCase``.  ``parse(ranks, params)`` makes the point of a parameter
+tuple, and the case's rules are the point's methods (see ``RankCase``):
+its canonical subgroup, subset, irreducibility conditions, normalizer
+actions, strata table and equivalence moves.  A point keeps its
+generators, canonical subgroup and subset after the first read; its
+derived integers are properties, computed when a rule reads them, which
+rules do on admissible tuples only.  The residue coordinates of a class
+let ``ParamBox`` count and walk the admissible tuples of a box.
 
-  * a parameter shape: an integer tuple describing a canonical subgroup
-    (``build_subgroup``) with ordered defining generators, and the reader
-    of that tuple off a residue-canonical subgroup (``RankCase.shape``),
-  * a partition of the admissible tuples into subsets by degeneration
-    pattern (``subset_of``), and the residue coordinates from which
-    ``ParamBox`` counts and walks the admissible tuples of a box,
-  * irreducibility conditions on the character (``validity``),
-  * generators of the normalizer with closed-form multiplier tables
-    where a closed form is tabulated (``tabulated_action``),
-  * a stratum table describing the fiber of the coarse moduli space
-    (``strata_table``),
-  * equivalence moves: a residue-shifting conjugation move and finite
-    root/residue replacement candidates (``conjugation_move``,
-    ``f_move_candidates``).
-
-The module functions named above look the rank pair's record up and apply
-its rules.  Everything is exact; characters take values in the
-symbolic unit group of :mod:`.characters`.
+Everything is exact; characters take values in the symbolic unit group
+of :mod:`.characters`.
 """
 
 from __future__ import annotations
@@ -61,6 +53,7 @@ class CaseStructureError(ValueError):
 
 
 _gcd, _lcm = math.gcd, math.lcm  # both nonnegative for any signs
+_F_MOVE_CAP = 64  # the f-move candidates built per pair
 
 
 def _div(x: int, y: int) -> int:
@@ -71,15 +64,27 @@ def _div(x: int, y: int) -> int:
     return q
 
 
-def _quot(x: int, y: int) -> int:
-    # a derived quotient, exact on admissible tuples; parsing meets the
-    # others too, whose derived integers no rule reads
-    return x // y if y else 0
-
-
 def _order(x: int, m: int) -> int:
     """Order of x modulo m, |m| / gcd(x, m); 0 when m is 0."""
     return abs(m) // _gcd(x, m) if m else 0
+
+
+class _kept:
+    """A property computed on the first read and kept in the instance;
+    functools.cached_property before Python 3.12 takes a lock on each
+    first read, a cost that every key a ParamBox tries would pay."""
+
+    def __init__(self, rule):
+        self.rule, self.__doc__ = rule, rule.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, point, owner=None):
+        if point is None:
+            return self
+        value = point.__dict__[self.name] = self.rule(point)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -173,36 +178,34 @@ _LAM_CIRC = _cstar("circle_nontorsion")
 
 
 # ---------------------------------------------------------------------------
-# the table record
+# the point of a parameter tuple
 
 
-@dataclass(frozen=True)
 class RankCase:
-    """One rank pair's row of the classification table.
+    """The rules every rank pair's point shares, and the answers of a rank
+    pair without a rule of its own.
 
-    The fields are the parameter names and the value names of the
-    defining generators.  The rules are methods of one subclass per rank
-    pair; each takes the parsed parameters q first (see ``parse``):
+    A rank pair's class is a namedtuple of its parameters with this mixin.
+    It sets ``ranks`` and ``coords``, the value names of the defining
+    generators (the central one is "lambda"), and defines
 
-      * ``generators(q)``: the ordered defining generators,
-      * ``shape(moved, canon)``: the parameters of a residue-canonical
-        subgroup with canonical level-2 residues canon, read off its
-        lattices; CaseStructureError when its shape is not the case's,
-      * ``subset(q)``: the subset label, or NoSubsetError,
-      * ``conditions(q, subset, values, chi)``: the irreducibility
-        conditions,
-      * ``normalizer(q, subset)``: generators of the normalizer,
-      * ``strata(q, subset, values)``: (fibers, matched, selector) rows,
-      * ``samples(q, subset)``: value assignments for character samples,
+      * ``generators``: the ordered defining generators (kept),
+      * ``shape(moved, canon)``: the point of a residue-canonical subgroup
+        with canonical level-2 residues canon, read off its lattices;
+        CaseStructureError when its shape is not the case's,
+      * ``subset``: the subset label, or NoSubsetError (kept),
+      * ``conditions(values, chi)``: the irreducibility conditions,
+      * ``normalizer()``: generators of the normalizer modulo the subgroup,
+      * ``stratum_rows(values)``: (fibers, matched, selector) per row,
+      * ``samples()``: value assignments for character samples,
 
-    and the rules defined here, whose answers are those of a rank pair
-    without such a rule.
+    and may define the rules below, ``move_candidates(vals)`` yielding
+    every f-move candidate lazily.
     """
 
+    __slots__ = ()
     ranks: tuple[int, int]
-    names: tuple[str, ...]   # parameter names, in tuple order
-    coords: tuple[str, ...]  # value names; the central one is "lambda"
-
+    coords: tuple[str, ...]
     scanned = False  # irreducibility is decided by the finite-index scan
     # (residue, modulus) name pairs: the residue coordinate enters the
     # subset conditions only through the bound |residue| < |modulus|
@@ -210,185 +213,129 @@ class RankCase:
     # coordinates that no admissible tuple sets to zero
     nonzero = ()
 
-    def parse(self, params):
-        """The named parameters plus the case's derived integers."""
-        p = tuple(map(int, params))
-        if len(p) != len(self.names):
-            raise ValueError(f"rank pair {self.ranks} takes {len(self.names)} "
-                             f"parameters, got {len(p)}")
-        return self.derive(*p)
-
-    def derive(self, *p):
-        # derived integers are read only for admissible tuples; the
-        # formulas give some value for every tuple, since parse meets all
-        return self.Params(*p)
-
-    def admissible(self, p) -> bool:
+    @property
+    def label(self) -> str | None:
+        """The subset label; None when the tuple is in no subset."""
         try:
-            self.subset(self.derive(*p))
+            return self.subset
         except NoSubsetError:
-            return False
-        return True
+            return None
 
-    def action(self, q, subset: str, gi: int, v: dict):
-        return None  # computed from first principles
+    @_kept
+    def sub(self) -> Subgroup:
+        """The canonical subgroup (centre included)."""
+        return subgroup([*self.generators, elt(c=1)])
 
-    def printed(self, q, subset: str, gi: int, v: dict):
+    def values(self, chi: Character) -> dict[str, UnitValue]:
+        """Character values on the defining generators plus the centre."""
+        if chi.sub.c0 != 1:
+            raise ValueError("the character's domain must contain the full "
+                             "centre")
+        vals = {name: evaluate(chi, g)
+                for name, g in zip(self.coords, self.generators)}
+        vals["lambda"] = evaluate(chi, elt(c=1))
+        return vals
+
+    def character(self, vals: dict) -> Character:
+        """Character on the canonical subgroup with the given values on the
+        defining generators (keys from coords plus "lambda")."""
+        return solve_character(
+            self.sub, [*self.generators, elt(c=1)],
+            [vals[name] for name in self.coords] + [vals.get("lambda", ONE)])
+
+    def sample_characters(self) -> list[Character]:
+        """Deterministic generic valid characters on the canonical subgroup.
+
+        Free directions get fresh symbols; constrained directions get exact
+        torsion solutions.  Every returned character is a valid
+        homomorphism and satisfies the case's irreducibility conditions.
+        """
+        chars = []
+        for assign in self.samples():
+            try:
+                chars.append(self.character(assign))
+            except ValueError:
+                continue
+        return chars
+
+    def strata(self, v: dict) -> list[tuple[StratumRow, bool]]:
+        """All stratum rows for the subset with the selector evaluated on
+        the given character values; rows are 1-based in table order."""
+        return [(StratumRow(i, tuple(fibers), selector), matched)
+                for i, (fibers, matched, selector)
+                in enumerate(self.stratum_rows(v), 1)]
+
+    def action(self, gi: int, v: dict) -> list[UnitValue] | None:
+        """Closed-form values of the conjugated character on the defining
+        generators, for the gi-th normalizer generator; None when no closed
+        form is tabulated for this subset (the conjugation is then computed
+        from first principles).  The central value is always unchanged.
+        """
         return None
 
-    def relations(self, q, subset: str, gens: list[Elt]) -> list:
+    def printed(self, gi: int, v: dict):
+        """Alternate displayed reading where the typeset closed form differs
+        from the verified one; (note, values) or None."""
+        return None
+
+    def relations(self) -> list:
+        """Displayed commutator identities: (name, element, exact word
+        builder, printed word builder or None).  Builders map the value
+        dict to a UnitValue; the exact one matches the element's
+        decomposition."""
         return []
 
-    def central_orders(self, q, bound: int):
+    def central_orders(self, bound: int = 2000):
+        """Central-value orders up to the bound compatible with the level-2
+        exponents, in increasing order."""
         raise ValueError("central orders are parameter-determined only for "
                          "the two level-2-saturated cases")
 
-    def conjugation(self, q, shift: int):
+    def conjugation(self, shift: int):
+        """The residue-shifting conjugation move: (conjugator, new point).
+        Conjugating the canonical subgroup by the conjugator yields the
+        canonical subgroup of the new point."""
         raise ValueError(
             "the tabulated residue-shifting move exists for rank pairs "
             "(1,1), (2,0) and (2,1) only")
 
-    def f_moves(self, q, subset: str, vals: dict):
+    def f_moves(self, vals: dict) -> list:
+        """Finite root/residue replacement candidates: (point, values,
+        note), the first _F_MOVE_CAP of them in the case's order.
+
+        Candidate tuples share the isolator with the input; the caller is
+        responsible for filtering by validity and restriction agreement.
+        """
+        return list(islice(self.move_candidates(vals), _F_MOVE_CAP))
+
+    def move_candidates(self, vals: dict):
         return iter(())
 
 
-def _case(ranks) -> RankCase:
-    try:
-        return CASES[ranks]
-    except KeyError:
-        raise ValueError(f"unknown rank pair {ranks}") from None
+class _Table(dict):
+    def __missing__(self, ranks):
+        raise ValueError(f"unknown rank pair {ranks}")
 
 
-def _parsed(ranks, params):
-    case = _case(ranks)
-    return case, case.parse(params)
+def parse(ranks: tuple[int, int], params) -> RankCase:
+    """The point of a parameter tuple of the rank pair."""
+    case = CASES[ranks]
+    p = tuple(map(int, params))
+    if len(p) != len(case._fields):
+        raise ValueError(f"rank pair {case.ranks} takes {len(case._fields)} "
+                         f"parameters, got {len(p)}")
+    return case._make(p)
 
 
 # ---------------------------------------------------------------------------
-# the public functions: one table lookup each
-
-
-def defining_generators(ranks: tuple[int, int], params) -> list[Elt]:
-    """Ordered non-central generators of the canonical subgroup."""
-    case, q = _parsed(ranks, params)
-    return case.generators(q)
-
-
-def build_subgroup(ranks: tuple[int, int], params) -> Subgroup:
-    """Canonical subgroup for a parameter tuple (centre included)."""
-    return subgroup(defining_generators(ranks, params) + [elt(c=1)])
-
-
-def case_values(ranks: tuple[int, int], params, chi: Character) -> dict[str, UnitValue]:
-    """Character values on the defining generators plus the centre."""
-    return _values(*_parsed(ranks, params), chi)
-
-
-def _values(case: RankCase, q, chi: Character) -> dict[str, UnitValue]:
-    if chi.sub.c0 != 1:
-        raise ValueError("the character's domain must contain the full centre")
-    vals = {name: evaluate(chi, g)
-            for name, g in zip(case.coords, case.generators(q))}
-    vals["lambda"] = evaluate(chi, elt(c=1))
-    return vals
-
-
-def subset_of(ranks: tuple[int, int], params) -> str:
-    """Subset label of an admissible tuple; NoSubsetError otherwise."""
-    case, q = _parsed(ranks, params)
-    return case.subset(q)
-
-
-def validity(ranks, subset: str, params, chi: Character):
-    """(ok, conditions) for the pair; ok is None when the decision is by
-    the finite-index scan of the top-rank case."""
-    case, q = _parsed(ranks, params)
-    conds = case.conditions(q, subset, _values(case, q, chi), chi)
-    return (None if case.scanned else all(c["holds"] for c in conds)), conds
-
-
-def normalizer_generators(ranks, subset: str, params) -> list[Elt]:
-    """Generators of the normalizer modulo the subgroup itself."""
-    case, q = _parsed(ranks, params)
-    return case.normalizer(q, subset)
-
-
-def tabulated_action(ranks, subset: str, params, gi: int, v: dict) -> list[UnitValue] | None:
-    """Closed-form values of the conjugated character on the defining
-    generators, for the gi-th normalizer generator; None when no closed
-    form is tabulated for this subset (the conjugation is then computed
-    from first principles).  The central value is always unchanged.
-    """
-    case, q = _parsed(ranks, params)
-    return case.action(q, subset, gi, v)
-
-
-def printed_action_variant(ranks, subset: str, params, gi: int, v: dict):
-    """Alternate displayed reading where the typeset closed form differs
-    from the verified one; (note, values) or None."""
-    case, q = _parsed(ranks, params)
-    return case.printed(q, subset, gi, v)
-
-
-def strata_table(ranks, subset: str, params, v: dict) -> list[tuple[StratumRow, bool]]:
-    """All stratum rows for the subset with the selector evaluated on the
-    given character values; rows are 1-based in table order."""
-    case, q = _parsed(ranks, params)
-    return [(StratumRow(i, tuple(fibers), selector), matched)
-            for i, (fibers, matched, selector)
-            in enumerate(case.strata(q, subset, v), 1)]
-
-
-def relation_checks(ranks, subset: str, params):
-    """Displayed commutator identities: (name, element, exact word builder,
-    printed word builder or None).  Builders map the value dict to a
-    UnitValue; the exact one matches the element's decomposition."""
-    case, q = _parsed(ranks, params)
-    return case.relations(q, subset, case.generators(q))
-
-
-def central_orders(ranks, subset: str, params, bound: int = 2000) -> list[int]:
-    """Central-value orders up to the bound compatible with the level-2
-    exponents, in increasing order."""
-    case, q = _parsed(ranks, params)
-    return list(case.central_orders(q, bound))
-
-
-def character_samples(ranks, subset: str, params) -> list[Character]:
-    """Deterministic generic valid characters on the canonical subgroup.
-
-    Free directions get fresh symbols; constrained directions get exact
-    torsion solutions.  Every returned character is a valid homomorphism
-    and satisfies the case's irreducibility conditions.
-    """
-    case, q = _parsed(ranks, params)
-    gens = case.generators(q) + [elt(c=1)]
-    sub = subgroup(gens)
-    names = case.coords + ("lambda",)
-    chars = []
-    for assign in case.samples(q, subset):
-        try:
-            chars.append(solve_character(sub, gens, [assign[n] for n in names]))
-        except ValueError:
-            continue
-    return chars
-
-
-def character_from_values(ranks, params, vals: dict) -> Character:
-    """Character on build_subgroup(ranks, params) with the given values on
-    the defining generators (keys from COORD_NAMES plus "lambda")."""
-    case, q = _parsed(ranks, params)
-    gens = case.generators(q) + [elt(c=1)]
-    values = [vals[name] for name in case.coords]
-    return solve_character(subgroup(gens), gens,
-                           values + [vals.get("lambda", ONE)])
+# the tuples of a box
 
 
 def param_box(ranks, box: tuple[int, int]) -> ParamBox:
     """The admissible tuples with all coordinates in [box[0], box[1]],
     counted, walked lazily in lexicographic order and unranked without
     being built (see ParamBox)."""
-    return ParamBox(_case(ranks), box)
+    return ParamBox(CASES[ranks], box)
 
 
 def enumerate_params(ranks, box: tuple[int, int], limit: int | None = None):
@@ -414,25 +361,44 @@ def sweep_params(ranks, box: tuple[int, int], limit: int | None = None):
     return space, space.count
 
 
-def conjugation_move(ranks, params, shift: int):
-    """The residue-shifting conjugation move: (conjugator, new params).
-
-    Conjugating the canonical subgroup by the returned element yields the
-    canonical subgroup of the returned tuple.
-    """
-    case, q = _parsed(ranks, params)
-    return case.conjugation(q, shift)
+# ---------------------------------------------------------------------------
+# functions of (ranks, params), one parse each, which bench/gen.py imports
 
 
-def f_move_candidates(ranks, subset: str, params, vals: dict, cap: int = 64):
-    """Finite root/residue replacement candidates: (params, values, note),
-    the first cap of them in the case's order.
+def defining_generators(ranks: tuple[int, int], params) -> list[Elt]:
+    """Ordered non-central generators of the canonical subgroup."""
+    return list(parse(ranks, params).generators)
 
-    Candidate tuples share the isolator with the input; the caller is
-    responsible for filtering by validity and restriction agreement.
-    """
-    case, q = _parsed(ranks, params)
-    return list(islice(case.f_moves(q, subset, vals), cap))
+
+def build_subgroup(ranks: tuple[int, int], params) -> Subgroup:
+    """Canonical subgroup for a parameter tuple (centre included)."""
+    return parse(ranks, params).sub
+
+
+def case_values(ranks: tuple[int, int], params, chi: Character) -> dict[str, UnitValue]:
+    """Character values on the defining generators plus the centre."""
+    return parse(ranks, params).values(chi)
+
+
+def subset_of(ranks: tuple[int, int], params) -> str:
+    """Subset label of an admissible tuple; NoSubsetError otherwise."""
+    return parse(ranks, params).subset
+
+
+def character_samples(ranks, subset: str, params) -> list[Character]:
+    """The sample characters of a tuple of the given subset (see
+    RankCase.sample_characters); ValueError for a subset not the tuple's."""
+    point = parse(ranks, params)
+    if point.subset != subset:
+        raise ValueError(f"the tuple is in subset {point.subset}, not "
+                         f"{subset}")
+    return point.sample_characters()
+
+
+def character_from_values(ranks, params, vals: dict) -> Character:
+    """Character on build_subgroup(ranks, params) with the given values on
+    the defining generators (keys from COORD_NAMES plus "lambda")."""
+    return parse(ranks, params).character(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -510,45 +476,49 @@ def _torsion_solution(m: int, target: UnitValue, j: int) -> UnitValue:
 # the six rank pairs
 
 
-class _Case11(RankCase):
+class _Case11(RankCase, namedtuple("_Case11", "a d f b e")):
     """(1, 1): one level-1 generator and the primitive level-2 element
     along its corner direction."""
 
-    Params = namedtuple("Params11", "a d f b e n a1 f1 lexp")
+    ranks, coords = (1, 1), ("t", "z")
 
-    def derive(self, a, d, f, b, e):
-        # n = gcd(a, f), (a1, f1) the primitive direction of (a, f), and
-        # lexp the central exponent that the first normalizer generator
-        # of subsets S1-S4 puts on t
-        n = _gcd(a, f)
-        a1, f1 = (a // n, f // n) if n else (0, 0)
-        return self.Params(a, d, f, b, e, n, a1, f1,
-                           a1 * e + f1 * b + (1 - n) * a1 * f1 * d)
+    # n = gcd(a, f), (a1, f1) the primitive direction of (a, f), and lexp
+    # the central exponent that the first normalizer generator of subsets
+    # S1-S4 puts on t; rules read them only when (a, f) != (0, 0)
+    n = property(lambda self: _gcd(self.a, self.f))
+    a1 = property(lambda self: self.a // self.n)
+    f1 = property(lambda self: self.f // self.n)
+    lexp = property(lambda self: self.a1 * self.e + self.f1 * self.b
+                    + (1 - self.n) * self.a1 * self.f1 * self.d)
 
-    def generators(self, q) -> list[Elt]:
-        if (q.a, q.f) == (0, 0):
+    @_kept
+    def generators(self) -> tuple[Elt, ...]:
+        if (self.a, self.f) == (0, 0):
             raise NoSubsetError("no subset: requires (a, f) != (0, 0)")
-        return [elt(a=q.a, d=q.d, f=q.f, b=q.b, e=q.e), elt(b=q.a1, e=q.f1)]
+        return (elt(a=self.a, d=self.d, f=self.f, b=self.b, e=self.e),
+                elt(b=self.a1, e=self.f1))
 
-    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+    @classmethod
+    def shape(cls, moved: Subgroup, canon) -> _Case11:
         (a, d, f), (b, e) = moved.level1_rows[0], canon[0]
         if (a, f) == (0, 0):
             raise CaseStructureError(
                 "violates case structure: the level-1 direction has no "
                 "corner component")
-        q = self.derive(a, d, f, b, e)
-        if not _lattice_matches(moved, [(q.a1, q.f1)]):
+        point = cls(a, d, f, b, e)
+        if not _lattice_matches(moved, [(point.a1, point.f1)]):
             raise CaseStructureError(
                 "violates case structure: the level-2 lattice is not the "
                 "primitive corner direction")
         if d == 0 and f == 0:
-            return (a, 0, 0, 1, e)
+            return cls(a, 0, 0, 1, e)
         if a == 0 and d == 0:
-            return (0, 0, f, b, 1)
-        return (a, d, f, b, e)
+            return cls(0, 0, f, b, 1)
+        return point
 
-    def subset(self, q) -> str:
-        a, d, f, b, e, n, a1, f1, lexp = q
+    @_kept
+    def subset(self) -> str:
+        a, d, f, b, e = self
         if (a, f) == (0, 0):
             raise NoSubsetError("no subset: requires (a, f) != (0, 0)")
         if d == 0 and f == 0:
@@ -566,7 +536,7 @@ class _Case11(RankCase):
                 raise NoSubsetError(
                     "no subset: requires gcd(b, f) = 1 when a = d = 0")
             return "N2"
-        if _gcd(f1 * b - a1 * e, a, d, f) != 1:
+        if _gcd(self.f1 * b - self.a1 * e, a, d, f) != 1:
             raise NoSubsetError(
                 "no subset: requires gcd(f1*b - a1*e, a, d, f) = 1 "
                 "(f1, a1 the primitive direction of (f, a))")
@@ -578,45 +548,47 @@ class _Case11(RankCase):
             return "S3"  # a, d nonzero
         return "S4"  # d == 0, a, f nonzero
 
-    def conditions(self, q, subset: str, v: dict, chi: Character) -> list[dict]:
+    def conditions(self, v: dict, chi: Character) -> list[dict]:
         return [_central_free(v)]
 
-    def normalizer(self, q, subset: str) -> list[Elt]:
-        if subset in ("S1", "S3", "S4"):
-            return [elt(a=q.a1, f=-q.f1), elt(e=1)]
-        if subset == "S2":
-            return [elt(a=q.a1, f=-q.f1), elt(b=1)]
-        if subset == "N1":
+    def normalizer(self) -> list[Elt]:
+        if self.subset in ("S1", "S3", "S4"):
+            return [elt(a=self.a1, f=-self.f1), elt(e=1)]
+        if self.subset == "S2":
+            return [elt(a=self.a1, f=-self.f1), elt(b=1)]
+        if self.subset == "N1":
             return [elt(d=1), elt(e=1), elt(f=1)]
         return [elt(d=1), elt(b=1), elt(a=1)]  # N2, mirrored
 
-    def action(self, q, subset: str, gi: int, v: dict):
-        a, d, f, b, e, n, a1, f1, lexp = q
+    def action(self, gi: int, v: dict):
+        a, d, f, b, e = self
         t, z, lam = v["t"], v["z"], v["lambda"]
-        if subset in ("S1", "S2", "S3", "S4"):
+        if self.subset in ("S1", "S2", "S3", "S4"):
             if gi == 0:
-                return [t * z ** d * lam ** lexp, z * lam ** (2 * a1 * f1)]
-            return [t * lam ** (f if subset == "S2" else -a), z]
-        if subset == "N1":
+                return [t * z ** d * lam ** self.lexp,
+                        z * lam ** (2 * self.a1 * self.f1)]
+            return [t * lam ** (f if self.subset == "S2" else -a), z]
+        if self.subset == "N1":
             if gi == 0:
                 return [t * z ** (-abs(a)), z]
             if gi == 1:
                 return [t * lam ** (-a), z]
-            return [t * lam ** (-b), z * lam ** (-a1)]
+            return [t * lam ** (-b), z * lam ** (-self.a1)]
         return None  # N2: mirrored, computed from first principles
 
-    def printed(self, q, subset: str, gi: int, v: dict):
-        if subset not in ("S1", "S3", "S4") or gi != 0:
+    def printed(self, gi: int, v: dict):
+        if self.subset not in ("S1", "S3", "S4") or gi != 0:
             return None
-        a, d, f, b, e, n, a1, f1, lexp = q
-        lam = v["lambda"]
+        a, d, f, b, e = self
+        a1, f1, lam = self.a1, self.f1, v["lambda"]
         return ("displayed central exponent reads a'e + f'b + a'f'd; the "
                 "computed one carries (1 - gcd(a, f)) on the a'f'd term",
                 [v["t"] * v["z"] ** d * lam ** (a1 * e + f1 * b + a1 * f1 * d),
                  v["z"] * lam ** (2 * a1 * f1)])
 
-    def strata(self, q, subset: str, v: dict) -> list:
-        a, d, f, b, e, n, a1, f1, lexp = q
+    def stratum_rows(self, v: dict) -> list:
+        a, d, f, b, e = self
+        a1, f1, lexp, subset = self.a1, self.f1, self.lexp, self.subset
         lam_cls = v["lambda"].modulus_class()
         off, circ = lam_cls == "off_circle", lam_cls == "circle_free"
         ztor = v["z"].is_root_of_unity
@@ -666,29 +638,32 @@ class _Case11(RankCase):
              "lambda on the circle, z torsion"),
         ]
 
-    def samples(self, q, subset: str) -> list[dict]:
+    def samples(self) -> list[dict]:
         return [
             {"t": _sym("t"), "z": _sym("z"), "lambda": _sym("lam")},
             {"t": _sym("t"), "z": root_of_unity(1, 3),
              "lambda": _sym("lam", True)},
         ]
 
-    def conjugation(self, q, shift: int):
-        a, d, f, b, e = q[:5]
-        return elt(d=shift), (a, d, f, b - a * shift, e + f * shift)
+    def conjugation(self, shift: int):
+        a, d, f, b, e = self
+        return elt(d=shift), self._replace(b=b - a * shift, e=e + f * shift)
 
 
-class _Case20(RankCase):
+class _Case20(RankCase, namedtuple("_Case20", "a b e f1 b1 e1")):
     """(2, 0): two level-1 generators along the outer axes and no level-2
     layer beyond the centre."""
 
-    Params = namedtuple("Params20", "a b e f1 b1 e1")
+    ranks, coords = (2, 0), ("t", "s")
     nonzero = ("a", "f1")
 
-    def generators(self, q) -> list[Elt]:
-        return [elt(a=q.a, b=q.b, e=q.e), elt(f=q.f1, b=q.b1, e=q.e1)]
+    @_kept
+    def generators(self) -> tuple[Elt, ...]:
+        return (elt(a=self.a, b=self.b, e=self.e),
+                elt(f=self.f1, b=self.b1, e=self.e1))
 
-    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+    @classmethod
+    def shape(cls, moved: Subgroup, canon) -> _Case20:
         # level-1 pivots other than the outer axes would give a non-central
         # commutator, so the pivots are (0, 2) and p2 is 0
         (a, x, y), (_, p2, f1) = moved.level1_rows
@@ -697,10 +672,11 @@ class _Case20(RankCase):
                 "violates case structure: the two level-1 directions are "
                 "not the pure outer axes")
         (b, e), (b1, e1) = canon
-        return (a, b, e, f1, b1, e1)
+        return cls(a, b, e, f1, b1, e1)
 
-    def subset(self, q) -> str:
-        a, b, e, f1, b1, e1 = q
+    @_kept
+    def subset(self) -> str:
+        a, b, e, f1, b1, e1 = self
         if a == 0:
             raise NoSubsetError("no subset: requires a != 0")
         if f1 == 0:
@@ -715,53 +691,55 @@ class _Case20(RankCase):
 
     conditions = _Case11.conditions  # the central value off torsion
 
-    def normalizer(self, q, subset: str) -> list[Elt]:
+    def normalizer(self) -> list[Elt]:
         return [elt(b=1), elt(e=1)]
 
-    def action(self, q, subset: str, gi: int, v: dict):
+    def action(self, gi: int, v: dict):
         t, s, lam = v["t"], v["s"], v["lambda"]
         if gi == 0:
-            return [t, s * lam ** q.f1]
-        return [t * lam ** (-q.a), s]
+            return [t, s * lam ** self.f1]
+        return [t * lam ** (-self.a), s]
 
-    def printed(self, q, subset: str, gi: int, v: dict):
+    def printed(self, gi: int, v: dict):
         t, s, lam = v["t"], v["s"], v["lambda"]
         if gi == 0:
             return ("displayed form attaches the lambda^f' factor to the "
                     "first generator instead of the second",
-                    [t * lam ** q.f1, s])
+                    [t * lam ** self.f1, s])
         return ("displayed form attaches the lambda^-a factor to the second "
-                "generator instead of the first", [t, s * lam ** (-q.a)])
+                "generator instead of the first", [t, s * lam ** (-self.a)])
 
-    def strata(self, q, subset: str, v: dict) -> list:
-        wf, wa = _mono(("lambda", q.f1)), _mono(("lambda", q.a))
+    def stratum_rows(self, v: dict) -> list:
+        wf, wa = _mono(("lambda", self.f1)), _mono(("lambda", self.a))
         return _lambda_rows(v["lambda"].modulus_class(),
                             lambda fib: [fib(wf), fib(wa)])
 
-    def samples(self, q, subset: str) -> list[dict]:
+    def samples(self) -> list[dict]:
         return [
             {"t": _sym("t"), "s": _sym("s"), "lambda": _sym("lam")},
             {"t": _sym("t", True), "s": _sym("s"), "lambda": _sym("lam", True)},
         ]
 
-    def conjugation(self, q, shift: int):
-        a, b, e, f1, b1, e1 = q
-        return elt(d=shift), (a, b - a * shift, e, f1, b1, e1 + f1 * shift)
+    def conjugation(self, shift: int):
+        return elt(d=shift), self._replace(b=self.b - self.a * shift,
+                                           e1=self.e1 + self.f1 * shift)
 
 
-class _Case21(RankCase):
+class _Case21(RankCase, namedtuple("_Case21", "a e d1 e1")):
     """(2, 1): the two leading level-1 axes over the first level-2 axis."""
 
-    Params = namedtuple("Params21", "a e d1 e1 k1 k2")
+    ranks, coords = (2, 1), ("t", "r", "z")
     nonzero = ("a", "d1")
 
-    def derive(self, a, e, d1, e1):
-        return self.Params(a, e, d1, e1, _gcd(a, e), _gcd(d1, e1))
+    k1 = property(lambda self: _gcd(self.a, self.e))
+    k2 = property(lambda self: _gcd(self.d1, self.e1))
 
-    def generators(self, q) -> list[Elt]:
-        return [elt(a=q.a, e=q.e), elt(d=q.d1, e=q.e1), elt(b=1)]
+    @_kept
+    def generators(self) -> tuple[Elt, ...]:
+        return (elt(a=self.a, e=self.e), elt(d=self.d1, e=self.e1), elt(b=1))
 
-    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+    @classmethod
+    def shape(cls, moved: Subgroup, canon) -> _Case21:
         rows1 = moved.level1_rows
         if _pivot_cols(rows1) != (0, 1):
             raise CaseStructureError(
@@ -777,105 +755,111 @@ class _Case21(RankCase):
                 "violates case structure: the level-2 lattice is not the "
                 "first coordinate axis")
         (_, e), (_, e1) = canon
-        return (a, e, d1, e1)
+        return cls(a, e, d1, e1)
 
-    def subset(self, q) -> str:
-        if q.a == 0:
+    @_kept
+    def subset(self) -> str:
+        if self.a == 0:
             raise NoSubsetError("no subset: requires a != 0")
-        if q.d1 == 0:
+        if self.d1 == 0:
             raise NoSubsetError("no subset: requires d' != 0")
-        return "S1" if q.k1 == 1 and q.k2 == 1 else "S2"
+        return "S1" if self.k1 == 1 and self.k2 == 1 else "S2"
 
-    def distinguished(self, q, z: UnitValue, lam: UnitValue) -> UnitValue:
+    def distinguished(self, z: UnitValue, lam: UnitValue) -> UnitValue:
         """The root of unity whose exact order k1*k2 subset S2 requires."""
-        k = q.k1 * q.k2
-        return z ** _div(q.a * q.d1, k) * lam ** _div(q.a * q.e1, k)
+        k = self.k1 * self.k2
+        return z ** _div(self.a * self.d1, k) * lam ** _div(self.a * self.e1, k)
 
-    def conditions(self, q, subset: str, v: dict, chi: Character) -> list[dict]:
-        conds = [_central_free(v), _kills_commutator(chi, self.generators(q))]
-        if subset == "S2":
-            k = q.k1 * q.k2
-            w0 = self.distinguished(q, v["z"], v["lambda"])
+    def conditions(self, v: dict, chi: Character) -> list[dict]:
+        conds = [_central_free(v), _kills_commutator(chi, self.generators)]
+        if self.subset == "S2":
+            k = self.k1 * self.k2
+            w0 = self.distinguished(v["z"], v["lambda"])
             conds.append(_cond(
                 f"distinguished root of unity has exact order {k}",
                 w0.value_order() == k, str(w0)))
         return conds
 
-    def normalizer(self, q, subset: str) -> list[Elt]:
+    def normalizer(self) -> list[Elt]:
         return [elt(e=1)]
 
-    def action(self, q, subset: str, gi: int, v: dict):
-        return [v["t"] * v["lambda"] ** (-q.a), v["r"], v["z"]]
+    def action(self, gi: int, v: dict):
+        return [v["t"] * v["lambda"] ** (-self.a), v["r"], v["z"]]
 
-    def strata(self, q, subset: str, v: dict) -> list:
-        wa = _mono(("lambda", q.a))
+    def stratum_rows(self, v: dict) -> list:
+        wa = _mono(("lambda", self.a))
         return _lambda_rows(v["lambda"].modulus_class(), lambda fib: [
-            fib(wa), _cstar(), _mun(q.a * q.d1)])
+            fib(wa), _cstar(), _mun(self.a * self.d1)])
 
-    def relations(self, q, subset: str, gens: list[Elt]) -> list:
+    def relations(self) -> list:
+        a, e, d1, e1 = self
+        gens = self.generators
         return [("commutator of the two level-1 generators",
                  commutator(gens[0], gens[1]),
-                 lambda v: v["z"] ** (q.a * q.d1) * v["lambda"] ** (q.a * q.e1),
+                 lambda v: v["z"] ** (a * d1) * v["lambda"] ** (a * e1),
                  None)]
 
-    def samples(self, q, subset: str) -> list[dict]:
-        a, e, d1, e1 = q[:4]
+    def samples(self) -> list[dict]:
+        a, e, d1, e1 = self
         out = []
         for j, circ in iproduct(range(abs(a * d1) + 1), (False, True)):
             lam = _sym("lam", circ)
             z = _torsion_solution(a * d1, lam ** (-a * e1), j)
-            if (subset == "S2" and self.distinguished(q, z, lam).value_order()
-                    != q.k1 * q.k2):
+            if (self.subset == "S2" and self.distinguished(z, lam).value_order()
+                    != self.k1 * self.k2):
                 continue
             out.append({"t": _sym("t"), "r": _sym("r"), "z": z, "lambda": lam})
             if len(out) >= 3:
                 break
         return out
 
-    def conjugation(self, q, shift: int):
-        return elt(f=shift), (q.a, q.e, q.d1, q.e1 - q.d1 * shift)
+    def conjugation(self, shift: int):
+        return elt(f=shift), self._replace(e1=self.e1 - self.d1 * shift)
 
-    def f_moves(self, q, subset: str, vals: dict):
-        a, e, d1, e1, k1, k2 = q
+    def move_candidates(self, vals: dict):
+        a, e, d1, e1 = self
         t, r, z, lam = vals["t"], vals["r"], vals["z"], vals["lambda"]
-        for m in intlin.divisors(k1)[1:]:
-            p2 = (a // m, e // m, d1 * m, e1 * m)
+        for m in intlin.divisors(self.k1)[1:]:
+            p2 = self._make((a // m, e // m, d1 * m, e1 * m))
             for root in t.roots(m):
                 yield (p2, {"t": root, "r": r ** m, "z": z, "lambda": lam},
                        f"root extraction of order {m} on the first generator")
-        for m in intlin.divisors(k2)[1:]:
-            p2 = (a * m, e * m, d1 // m, e1 // m)
+        for m in intlin.divisors(self.k2)[1:]:
+            p2 = self._make((a * m, e * m, d1 // m, e1 // m))
             for root in r.roots(m):
                 yield (p2, {"t": t ** m, "r": root, "z": z, "lambda": lam},
                        f"root extraction of order {m} on the second generator")
 
 
-class _Case12(RankCase):
+class _Case12(RankCase, namedtuple("_Case12", "a d f b e b1 e1")):
     """(1, 2): one level-1 generator over a full-rank level-2 lattice."""
 
-    Params = namedtuple("Params12", "a d f b e b1 e1 d1_ f1_")
+    ranks, coords = (1, 2), ("t", "z", "w")
     residues = (("b", "b1"), ("e", "e1"))
     nonzero = ("d",)
 
-    def derive(self, a, d, f, b, e, b1, e1):
-        # d1_, f1_: the exponents of the normalizer generators elt(d=d1_)
-        # and elt(f=f1_) outside subset A
-        return self.Params(a, d, f, b, e, b1, e1,
-                           _lcm(_order(a, b1), _order(f, e1)), _order(d, e1))
+    # the exponents of the normalizer generators elt(d=d1_) and
+    # elt(f=f1_) outside subset A
+    d1_ = property(lambda self: _lcm(_order(self.a, self.b1),
+                                     _order(self.f, self.e1)))
+    f1_ = property(lambda self: _order(self.d, self.e1))
 
-    def generators(self, q) -> list[Elt]:
-        return [elt(a=q.a, d=q.d, f=q.f, b=q.b, e=q.e), elt(b=q.b1),
-                elt(e=q.e1)]
+    @_kept
+    def generators(self) -> tuple[Elt, ...]:
+        return (elt(a=self.a, d=self.d, f=self.f, b=self.b, e=self.e),
+                elt(b=self.b1), elt(e=self.e1))
 
-    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+    @classmethod
+    def shape(cls, moved: Subgroup, canon) -> _Case12:
         (a, d, f) = moved.level1_rows[0]
         b1, e1 = _split_level2(moved)
         (b, e) = canon[0]
-        return (a, d, f, b, e, b1, e1)
+        return cls(a, d, f, b, e, b1, e1)
 
-    def subset(self, q) -> str:
-        a, d, f, b, e, b1, e1 = q[:7]
-        if q[:7] == (0, 1, 0, 0, 0, 1, 1):
+    @_kept
+    def subset(self) -> str:
+        a, d, f, b, e, b1, e1 = self
+        if self == (0, 1, 0, 0, 0, 1, 1):
             return "A"
         if d == 0:
             raise NoSubsetError("no subset: requires d != 0")
@@ -906,9 +890,9 @@ class _Case12(RankCase):
             raise NoSubsetError("no subset: requires |b| < |b'|, b' != 0")
         return "S3"
 
-    def conditions(self, q, subset: str, v: dict, chi: Character) -> list[dict]:
+    def conditions(self, v: dict, chi: Character) -> list[dict]:
         lam, z, w = v["lambda"], v["z"], v["w"]
-        if subset == "A":
+        if self.subset == "A":
             free = not lam.is_root_of_unity
             generic = not z.is_root_of_unity and not w.is_root_of_unity
             return [_cond("central value off torsion, or both level-2 values "
@@ -917,40 +901,44 @@ class _Case12(RankCase):
         conds = [_central_finite(lam, nu)]
         if nu is not None:
             conds.append(_cond("b' matches the central order against f",
-                               abs(q.b1) == _order(q.f, nu), f"order {nu}"))
+                               abs(self.b1) == _order(self.f, nu),
+                               f"order {nu}"))
             conds.append(_cond("e' matches the central order against a",
-                               abs(q.e1) == _order(q.a, nu), f"order {nu}"))
+                               abs(self.e1) == _order(self.a, nu),
+                               f"order {nu}"))
         conds.append(_cond("first level-2 value is not a root of unity",
                            not z.is_root_of_unity))
         conds.append(_cond("second level-2 value is not a root of unity",
                            not w.is_root_of_unity))
         return conds
 
-    def normalizer(self, q, subset: str) -> list[Elt]:
-        if subset == "A":
+    def normalizer(self) -> list[Elt]:
+        if self.subset == "A":
             return [elt(a=1), elt(f=1)]
-        return [elt(d=q.d1_), elt(f=q.f1_)]
+        return [elt(d=self.d1_), elt(f=self.f1_)]
 
-    def action(self, q, subset: str, gi: int, v: dict):
-        a, d, f, b, e, b1, e1, d1_, f1_ = q
+    def action(self, gi: int, v: dict):
+        a, d, f, b, e, b1, e1 = self
         t, z, w, lam = v["t"], v["z"], v["w"], v["lambda"]
-        if subset == "A":
+        if self.subset == "A":
             if gi == 0:
                 return [t * z, z, w * lam]
             return [t * w ** (-1), z * lam ** (-1), w]
-        if subset == "S3":
+        if self.subset == "S3":
             return None  # mirrored, computed from first principles
+        d1_, f1_ = self.d1_, self.f1_
         if gi == 0:
             return [t * z ** (-_div(a * d1_, b1)) * w ** _div(f * d1_, e1),
                     z, w]
         return [t * w ** (-_div(f1_ * d, e1)) * lam ** (-b * f1_),
                 z * lam ** (-b1 * f1_), w]
 
-    def strata(self, q, subset: str, v: dict) -> list:
-        a, d, f, b, e, b1, e1, d1_, f1_ = q
+    def stratum_rows(self, v: dict) -> list:
+        a, d, f, b, e, b1, e1 = self
         lam_cls = v["lambda"].modulus_class()
         ztor, wtor = v["z"].is_root_of_unity, v["w"].is_root_of_unity
-        if subset != "A":
+        if self.subset != "A":
+            d1_, f1_ = self.d1_, self.f1_
             u = _mono(("z", -_div(a * d1_, b1)), ("w", _div(f * d1_, e1)))
             vv = _mono(("w", _div(f1_ * d, e1)), ("lambda", b * f1_))
             return [([_tt(u, vv), _cstar("nontorsion"), _cstar("nontorsion"),
@@ -972,16 +960,16 @@ class _Case12(RankCase):
                         lam_cls == "torsion",
                         "lambda torsion (z, w forced non-torsion)")]
 
-    def central_orders(self, q, bound: int):
+    def central_orders(self, bound: int = 2000):
         # b' and e' are orders modulo nu, so both divide nu
-        a, f, b1, e1 = q.a, q.f, q.b1, q.e1
+        a, f, b1, e1 = self.a, self.f, self.b1, self.e1
         cap = min(bound, abs(b1 * e1) * max(abs(a), 1) * max(abs(f), 1))
         step = _lcm(b1, e1)  # 0 if one is 0: no order is 0, so no nu
         return (nu for nu in (range(step, cap + 1, step) if step else ())
                 if abs(b1) == _order(f, nu) and abs(e1) == _order(a, nu))
 
-    def samples(self, q, subset: str) -> list[dict]:
-        if subset == "A":
+    def samples(self) -> list[dict]:
+        if self.subset == "A":
             return [
                 {"t": _sym("t"), "z": _sym("z"), "w": _sym("w"),
                  "lambda": _sym("lam")},
@@ -990,16 +978,16 @@ class _Case12(RankCase):
             ]
         return [{"t": _sym("t"), "z": _sym("z"), "w": _sym("w"),
                  "lambda": root_of_unity(1, nu)}
-                for nu in islice(self.central_orders(q, 2000), 2)]
+                for nu in islice(self.central_orders(), 2)]
 
-    def f_moves(self, q, subset: str, vals: dict):
-        if subset == "A":
+    def move_candidates(self, vals: dict):
+        if self.subset == "A":
             return
-        a, d, f, b, e, b1, e1 = q[:7]
+        a, d, f, b, e, b1, e1 = self
         t, z, w, lam = vals["t"], vals["z"], vals["w"], vals["lambda"]
         if (b, e) != (0, 0):
             t2 = t * z ** Fraction(-b, b1) * w ** Fraction(-e, e1)
-            yield ((a, d, f, 0, 0, b1, e1),
+            yield (self._replace(b=0, e=0),
                    {"t": t2, "z": z, "w": w, "lambda": lam},
                    "clearing the level-2 residues of the first generator")
         for m in intlin.divisors(_gcd(a, d, f))[1:]:
@@ -1016,46 +1004,53 @@ class _Case12(RankCase):
                     qb = _div(m * beta + bshift - b, b1)
                     qe = _div(m * eps + eshift - e, e1)
                     for root in (t * z ** qb * w ** qe).roots(m):
-                        yield ((a2, d2, f2, beta, eps, b1, e1),
+                        yield (self._make((a2, d2, f2, beta, eps, b1, e1)),
                                {"t": root, "z": z, "w": w, "lambda": lam},
                                f"root extraction of order {m} on the "
                                "level-1 generator")
         for m in intlin.divisors(b1)[1:]:
             for root in z.roots(m):
-                yield ((a, d, f, b, e, b1 // m, e1),
+                yield (self._replace(b1=b1 // m),
                        {"t": t, "z": root, "w": w, "lambda": lam},
                        f"root extraction of order {m} on the first level-2 "
                        "generator")
         for m in intlin.divisors(e1)[1:]:
             for root in w.roots(m):
-                yield ((a, d, f, b, e, b1, e1 // m),
+                yield (self._replace(e1=e1 // m),
                        {"t": t, "z": z, "w": root, "lambda": lam},
                        f"root extraction of order {m} on the second level-2 "
                        "generator")
 
 
-class _Case22(RankCase):
+class _Case22(RankCase, namedtuple("_Case22", "a f b e d1 f1 b1 e1 b2 e2")):
     """(2, 2): two level-1 generators over a full-rank level-2 lattice."""
 
-    Params = namedtuple("Params22",
-                        "a f b e d1 f1 b1 e1 b2 e2 ft at dt cexp m1 m2 nn")
+    ranks, coords = (2, 2), ("t", "s", "z", "w")
     residues = (("b", "b2"), ("e", "e2"), ("b1", "b2"), ("e1", "e2"))
 
-    def derive(self, a, f, b, e, d1, f1, b1, e1, b2, e2):
-        # ft, at, dt: the normalizer exponents of subsets S1/S2, S3 and S4;
-        # the character is z**m1 * w**m2 * lambda**cexp on the commutator of
-        # the level-1 generators; nn is the order of the central pairing
-        return self.Params(
-            a, f, b, e, d1, f1, b1, e1, b2, e2,
-            _order(d1, e2), _order(d1, b2), _lcm(_order(a, b2), _order(f1, e2)),
-            a * e1 + b * f1 - b1 * f - a * d1 * f - a * d1 * f1,
-            _quot(a * d1, b2), -_quot(d1 * f, e2), _gcd(f1 * b2, a * e2, f * b2))
+    # ft, at, dt: the normalizer exponents of subsets S1/S2, S3 and S4;
+    # the character is z**m1 * w**m2 * lambda**cexp on the commutator of
+    # the level-1 generators; nn is the order of the central pairing
+    ft = property(lambda self: _order(self.d1, self.e2))
+    at = property(lambda self: _order(self.d1, self.b2))
+    dt = property(lambda self: _lcm(_order(self.a, self.b2),
+                                    _order(self.f1, self.e2)))
+    cexp = property(lambda self: self.a * self.e1 + self.b * self.f1
+                    - self.b1 * self.f - self.a * self.d1 * self.f
+                    - self.a * self.d1 * self.f1)
+    m1 = property(lambda self: _div(self.a * self.d1, self.b2))
+    m2 = property(lambda self: -_div(self.d1 * self.f, self.e2))
+    nn = property(lambda self: _gcd(self.f1 * self.b2, self.a * self.e2,
+                                    self.f * self.b2))
 
-    def generators(self, q) -> list[Elt]:
-        return [elt(a=q.a, f=q.f, b=q.b, e=q.e),
-                elt(d=q.d1, f=q.f1, b=q.b1, e=q.e1), elt(b=q.b2), elt(e=q.e2)]
+    @_kept
+    def generators(self) -> tuple[Elt, ...]:
+        return (elt(a=self.a, f=self.f, b=self.b, e=self.e),
+                elt(d=self.d1, f=self.f1, b=self.b1, e=self.e1),
+                elt(b=self.b2), elt(e=self.e2))
 
-    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+    @classmethod
+    def shape(cls, moved: Subgroup, canon) -> _Case22:
         b2, e2 = _split_level2(moved)
         rows1 = moved.level1_rows
         piv = _pivot_cols(rows1)
@@ -1066,7 +1061,7 @@ class _Case22(RankCase):
                     "violates case structure: the leading level-1 row has "
                     "a diagonal-gap component")
             (b, e), (b1, e1) = canon
-            return (a, f, b, e, d1, f1, b1, e1, b2, e2)
+            return cls(a, f, b, e, d1, f1, b1, e1, b2, e2)
         if piv == (0, 2):
             (a, x, y), (_, _, f1) = rows1
             if x or y:
@@ -1074,7 +1069,7 @@ class _Case22(RankCase):
                     "violates case structure: the leading level-1 row is "
                     "not a pure axis")
             (b, e), (b1, e1) = canon
-            return (a, 0, b, e, 0, f1, b1, e1, b2, e2)
+            return cls(a, 0, b, e, 0, f1, b1, e1, b2, e2)
         # the HNF of a rank-2 lattice has two pivots: the last pattern (1, 2)
         (_, d1, z), (_, _, f) = rows1
         if z:
@@ -1082,10 +1077,11 @@ class _Case22(RankCase):
                 "violates case structure: the middle level-1 row has "
                 "a trailing component")
         (b1, e1), (b, e) = canon
-        return (0, f, b, e, d1, 0, b1, e1, b2, e2)
+        return cls(0, f, b, e, d1, 0, b1, e1, b2, e2)
 
-    def subset(self, q) -> str:
-        a, f, b, e, d1, f1, b1, e1, b2, e2 = q[:10]
+    @_kept
+    def subset(self) -> str:
+        a, f, b, e, d1, f1, b1, e1, b2, e2 = self
         if a != 0 and f != 0 and d1 != 0 and f1 != 0:
             if b2 == 0 or e2 == 0:
                 raise NoSubsetError("no subset: requires b'', e'' != 0")
@@ -1124,85 +1120,88 @@ class _Case22(RankCase):
             "admissible degenerations (need a,f,d',f' all nonzero; or "
             "f = f' = 0; or a = f' = 0; or d' = f = 0)")
 
-    def conditions(self, q, subset: str, v: dict, chi: Character) -> list[dict]:
+    def conditions(self, v: dict, chi: Character) -> list[dict]:
         lam = v["lambda"]
         nu = lam.value_order()
         conds = [_central_finite(lam, nu)]
         if nu is not None:
             conds.append(_cond(
                 "b'' matches the central order against (f, f')",
-                abs(q.b2) == _lcm(_order(q.f, nu), _order(q.f1, nu)),
+                abs(self.b2) == _lcm(_order(self.f, nu), _order(self.f1, nu)),
                 f"order {nu}"))
             conds.append(_cond("e'' matches the central order against a",
-                               abs(q.e2) == _order(q.a, nu), f"order {nu}"))
-        conds.append(_kills_commutator(chi, self.generators(q)))
+                               abs(self.e2) == _order(self.a, nu),
+                               f"order {nu}"))
+        conds.append(_kills_commutator(chi, self.generators))
         conds.append(_cond("level-2 values are not both torsion",
                            not (v["z"].is_root_of_unity
                                 and v["w"].is_root_of_unity)))
         return conds
 
-    def normalizer(self, q, subset: str) -> list[Elt]:
-        if subset in ("S1", "S2"):
-            return [elt(f=q.ft)]
-        if subset == "S3":
-            return [elt(a=q.at)]
-        return [elt(d=q.dt, f=1)]  # S4
+    def normalizer(self) -> list[Elt]:
+        if self.subset in ("S1", "S2"):
+            return [elt(f=self.ft)]
+        if self.subset == "S3":
+            return [elt(a=self.at)]
+        return [elt(d=self.dt, f=1)]  # S4
 
-    def action(self, q, subset: str, gi: int, v: dict):
-        a, f, b, e, d1, f1, b1, e1, b2, e2, ft, at, dt = q[:13]
+    def action(self, gi: int, v: dict):
+        a, f, b, e, d1, f1, b1, e1, b2, e2 = self
         t, s, z, w, lam = v["t"], v["s"], v["z"], v["w"], v["lambda"]
-        if subset in ("S1", "S2"):
+        if self.subset in ("S1", "S2"):
+            ft = self.ft
             return [t * lam ** (-b * ft),
                     s * w ** (-_div(d1 * ft, e2)) * lam ** (-b1 * ft),
                     z * lam ** (-b2 * ft), w]
-        if subset == "S3":
+        if self.subset == "S3":
             return None  # mirrored, computed from first principles
+        dt = self.dt
         return [t * z ** (-_div(a * dt, b2)) * lam ** (a * dt - b),
                 s * w ** _div(f1 * dt, e2) * lam ** (-b1),
                 z * lam ** (-b2), w]
 
-    def printed(self, q, subset: str, gi: int, v: dict):
-        if subset != "S4":
+    def printed(self, gi: int, v: dict):
+        if self.subset != "S4":
             return None
         return ("displayed form omits the central factors and reverses the "
                 "w-exponent sign",
-                [v["t"] * v["z"] ** (-_div(q.a * q.dt, q.b2)),
-                 v["s"] * v["w"] ** (-_div(q.f1 * q.dt, q.e2)), v["z"], v["w"]])
+                [v["t"] * v["z"] ** (-_div(self.a * self.dt, self.b2)),
+                 v["s"] * v["w"] ** (-_div(self.f1 * self.dt, self.e2)),
+                 v["z"], v["w"]])
 
-    def strata(self, q, subset: str, v: dict) -> list:
-        a, f, b, e, d1, f1, b1, e1, b2, e2, ft, at, dt = q[:13]
+    def stratum_rows(self, v: dict) -> list:
+        a, f, b, e, d1, f1, b1, e1, b2, e2 = self
         lam = v["lambda"]
         zc, wc = v["z"].modulus_class(), v["w"].modulus_class()
-        if subset == "S1":
-            sq = _mono(("w", _div(d1 * ft, e2)))
-            return [([_cstar(), _ell(sq), _curve(), _mun(q.nn)],
+        if self.subset == "S1":
+            sq = _mono(("w", _div(d1 * self.ft, e2)))
+            return [([_cstar(), _ell(sq), _curve(), _mun(self.nn)],
                      wc == "off_circle", "w off the circle"),
-                    ([_cstar(), _pp(sq), _curve(singular=True), _mun(q.nn)],
+                    ([_cstar(), _pp(sq), _curve(singular=True), _mun(self.nn)],
                      wc == "circle_free", "w on the circle non-torsion")]
-        if subset == "S2":
-            sq = _mono(("w", _div(d1 * ft, e2)))
+        if self.subset == "S2":
+            sq = _mono(("w", _div(d1 * self.ft, e2)))
             n2v = 0
             if lam.is_root_of_unity:
-                n2v = abs(q.m1) * (lam ** (a * e1)).value_order()
+                n2v = abs(self.m1) * (lam ** (a * e1)).value_order()
             return [([_cstar(), _ell(sq), _mun(n2v), _cstar("off_circle"),
                       _mun(a * e2)], wc == "off_circle", "w off the circle"),
                     ([_cstar(), _pp(sq), _mun(n2v), _cstar("circle_nontorsion"),
                       _mun(a * e2)], wc == "circle_free",
                      "w on the circle non-torsion")]
-        if subset == "S3":
-            tq = _mono(("z", _div(d1 * at, b2)))
+        if self.subset == "S3":
+            tq = _mono(("z", _div(d1 * self.at, b2)))
             n3v = 0
             if lam.is_root_of_unity:
-                n3v = abs(q.m2) * (lam ** (f * b1)).value_order()
+                n3v = abs(self.m2) * (lam ** (f * b1)).value_order()
             return [([_cstar(), _ell(tq), _cstar("off_circle"), _mun(n3v),
                       _mun(f * b2)], zc == "off_circle", "z off the circle"),
                     ([_cstar(), _pp(tq), _cstar("circle_nontorsion"), _mun(n3v),
                       _mun(f * b2)], zc == "circle_free",
                      "z on the circle non-torsion")]
         # S4
-        zq = _mono(("z", _div(a * dt, b2)))
-        wq = _mono(("w", _div(f1 * dt, e2)))
-        nn = _gcd(f1 * b2, a * e2)
+        zq = _mono(("z", _div(a * self.dt, b2)))
+        wq = _mono(("w", _div(f1 * self.dt, e2)))
         tslot = {"off_circle": _ell(zq), "circle_free": _pp(zq),
                  "torsion": _cstar()}
         sslot = {"off_circle": _ell(wq), "circle_free": _pp(wq),
@@ -1217,31 +1216,30 @@ class _Case22(RankCase):
         names = {"off_circle": "off the circle",
                  "circle_free": "on the circle non-torsion",
                  "torsion": "torsion"}
-        return [([tslot[zk], sslot[wk], zslot[zk], zslot[wk], _mun(nn)],
+        return [([tslot[zk], sslot[wk], zslot[zk], zslot[wk], _mun(self.nn)],
                  zc == zk and wc == wk, f"z {names[zk]}, w {names[wk]}")
                 for zk, wk in combos]
 
-    def relations(self, q, subset: str, gens: list[Elt]) -> list:
+    def relations(self) -> list:
+        m1, m2, cexp, gens = self.m1, self.m2, self.cexp, self.generators
         out = [("commutator of the two level-1 generators",
                 commutator(gens[0], gens[1]),
-                lambda v: (v["z"] ** q.m1 * v["w"] ** q.m2
-                           * v["lambda"] ** q.cexp),
-                lambda v: (v["z"] ** (-q.m1) * v["w"] ** q.m2
-                           * v["lambda"] ** q.cexp))]
-        if subset == "S4":
+                lambda v: v["z"] ** m1 * v["w"] ** m2 * v["lambda"] ** cexp,
+                lambda v: v["z"] ** (-m1) * v["w"] ** m2 * v["lambda"] ** cexp)]
+        if self.subset == "S4":
             out.append((
                 "commutator of the first generator with the last level-2 one",
                 commutator(gens[0], gens[3]),
-                lambda v: v["lambda"] ** (q.a * q.e2), None))
+                lambda v: v["lambda"] ** (self.a * self.e2), None))
             out.append((
                 "commutator of the second generator with the first level-2 one",
                 commutator(gens[1], gens[2]),
-                lambda v: v["lambda"] ** (-q.f1 * q.b2), None))
+                lambda v: v["lambda"] ** (-self.f1 * self.b2), None))
         return out
 
-    def central_orders(self, q, bound: int):
+    def central_orders(self, bound: int = 2000):
         # b'' and e'' are (lcms of) orders modulo nu, so both divide nu
-        a, f, f1, b2, e2 = q.a, q.f, q.f1, q.b2, q.e2
+        a, f, f1, b2, e2 = self.a, self.f, self.f1, self.b2, self.e2
         cap = min(bound, abs(b2 * e2) * max(abs(a), 1)
                   * max(abs(f), 1) * max(abs(f1), 1))
         step = _lcm(b2, e2)  # 0 if one is 0: no order is 0, so no nu
@@ -1249,12 +1247,12 @@ class _Case22(RankCase):
                 if abs(b2) == _lcm(_order(f, nu), _order(f1, nu))
                 and abs(e2) == _order(a, nu))
 
-    def samples(self, q, subset: str) -> list[dict]:
-        m1, m2 = q.m1, q.m2
+    def samples(self) -> list[dict]:
+        m1, m2, subset = self.m1, self.m2, self.subset
         out = []
-        for nu in islice(self.central_orders(q, 2000), 2):
+        for nu in islice(self.central_orders(), 2):
             lam = root_of_unity(1, nu)
-            target = lam ** (-q.cexp)
+            target = lam ** (-self.cexp)
             for j in (0, 1):
                 if subset == "S1":
                     zv = _sym("z")
@@ -1275,9 +1273,9 @@ class _Case22(RankCase):
                             "lambda": lam})
         return out
 
-    def f_moves(self, q, subset: str, vals: dict):
-        a, f, b, e, d1, f1, b1, e1, b2, e2 = q[:10]
-        nn = q.nn
+    def move_candidates(self, vals: dict):
+        a, f, b, e, d1, f1, b1, e1, b2, e2 = self
+        nn = self.nn
         inv = (a * e1 + b * f1 - b1 * f) % nn if nn else None
         res_b = range(-abs(b2) + 1, abs(b2))
         res_e = range(-abs(e2) + 1, abs(e2))
@@ -1287,32 +1285,38 @@ class _Case22(RankCase):
             if nn and (a * e1t + bt * f1 - b1t * f) % nn != inv:
                 continue
             for et in res_e:
-                yield ((a, f, bt, et, d1, f1, b1t, e1t, b2, e2), dict(vals),
+                yield (self._replace(b=bt, e=et, b1=b1t, e1=e1t), dict(vals),
                        "residue replacement preserving the central pairing")
 
 
-class _Case32(RankCase):
+class _Case32(RankCase, namedtuple("_Case32",
+                                   "a b e d1 b1 e1 f2 b2 e2 b3 e3")):
     """(3, 2): finite index, three diagonal level-1 generators over a
     full-rank level-2 lattice."""
 
-    Params = namedtuple("Params32", "a b e d1 b1 e1 f2 b2 e2 b3 e3 n3 m1 m2")
+    ranks, coords = (3, 2), ("t", "r", "s", "z", "w")
     scanned = True
     residues = (("b", "b3"), ("e", "e3"), ("b1", "b3"), ("e1", "e3"),
                 ("b2", "b3"), ("e2", "e3"))
     nonzero = ("a", "d1", "f2")
 
-    def derive(self, a, b, e, d1, b1, e1, f2, b2, e2, b3, e3):
-        # n3 is the central order; z**m1 and w**m2 carry the commutators of
-        # the consecutive level-1 generators
-        return self.Params(a, b, e, d1, b1, e1, f2, b2, e2, b3, e3,
-                           _gcd(f2 * b3, a * e2 + b * f2, a * e3),
-                           _quot(a * d1, b3), _quot(d1 * f2, e3))
+    # n3 is the central order; z**m1 and w**m2 carry the commutators of
+    # the consecutive level-1 generators
+    n3 = property(lambda self: _gcd(self.f2 * self.b3,
+                                    self.a * self.e2 + self.b * self.f2,
+                                    self.a * self.e3))
+    m1 = property(lambda self: _div(self.a * self.d1, self.b3))
+    m2 = property(lambda self: _div(self.d1 * self.f2, self.e3))
 
-    def generators(self, q) -> list[Elt]:
-        return [elt(a=q.a, b=q.b, e=q.e), elt(d=q.d1, b=q.b1, e=q.e1),
-                elt(f=q.f2, b=q.b2, e=q.e2), elt(b=q.b3), elt(e=q.e3)]
+    @_kept
+    def generators(self) -> tuple[Elt, ...]:
+        return (elt(a=self.a, b=self.b, e=self.e),
+                elt(d=self.d1, b=self.b1, e=self.e1),
+                elt(f=self.f2, b=self.b2, e=self.e2), elt(b=self.b3),
+                elt(e=self.e3))
 
-    def shape(self, moved: Subgroup, canon) -> tuple[int, ...]:
+    @classmethod
+    def shape(cls, moved: Subgroup, canon) -> _Case32:
         b3, e3 = _split_level2(moved)
         (a, x, y), (_, d1, z), (_, _, f2) = moved.level1_rows
         if x or y or z:
@@ -1320,10 +1324,11 @@ class _Case32(RankCase):
                 "violates case structure: the level-1 lattice is not "
                 "diagonal")
         (b, e), (b1, e1), (b2, e2) = canon
-        return (a, b, e, d1, b1, e1, f2, b2, e2, b3, e3)
+        return cls(a, b, e, d1, b1, e1, f2, b2, e2, b3, e3)
 
-    def subset(self, q) -> str:
-        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = q[:11]
+    @_kept
+    def subset(self) -> str:
+        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = self
         for name, val in (("a", a), ("d'", d1), ("f''", f2), ("b'''", b3),
                           ("e'''", e3)):
             if val == 0:
@@ -1337,39 +1342,41 @@ class _Case32(RankCase):
             raise NoSubsetError("no subset: requires |e|, |e'|, |e''| < |e'''|")
         return "S"
 
-    def level2_orders(self, q, lam: UnitValue) -> tuple[int, int]:
+    def level2_orders(self, lam: UnitValue) -> tuple[int, int]:
         """The exact orders of the two level-2 values that a torsion
         central value forces."""
-        return (abs(q.m1) * (lam ** (q.a * q.e1)).value_order(),
-                abs(q.m2) * (lam ** (q.b1 * q.f2)).value_order())
+        return (abs(self.m1) * (lam ** (self.a * self.e1)).value_order(),
+                abs(self.m2) * (lam ** (self.b1 * self.f2)).value_order())
 
-    def conditions(self, q, subset: str, v: dict, chi: Character) -> list[dict]:
+    def conditions(self, v: dict, chi: Character) -> list[dict]:
         lam = v["lambda"]
         nu = lam.value_order()
         conds = [_central_finite(lam, nu)]
         if nu is not None:
-            n1, n2 = self.level2_orders(q, lam)
+            n1, n2 = self.level2_orders(lam)
             conds.append(_cond(f"first level-2 value has exact order {n1}",
                                v["z"].value_order() == n1))
             conds.append(_cond(f"second level-2 value has exact order {n2}",
                                v["w"].value_order() == n2))
-            conds.append(_cond(f"central value has exact order {q.n3}",
-                               nu == q.n3))
+            conds.append(_cond(f"central value has exact order {self.n3}",
+                               nu == self.n3))
         return conds
 
-    def normalizer(self, q, subset: str) -> list[Elt]:
-        dt = _lcm(_order(q.a, q.b3), _order(q.f2, q.e3))
-        return [elt(b=1), elt(e=1), elt(d=dt), elt(a=_order(q.d1, q.b3)),
-                elt(f=_order(q.d1, q.e3))]
+    def normalizer(self) -> list[Elt]:
+        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = self
+        dt = _lcm(_order(a, b3), _order(f2, e3))
+        return [elt(b=1), elt(e=1), elt(d=dt), elt(a=_order(d1, b3)),
+                elt(f=_order(d1, e3))]
 
-    def strata(self, q, subset: str, v: dict) -> list:
+    def stratum_rows(self, v: dict) -> list:
         ok = v["lambda"].modulus_class() == "torsion"
-        n1, n2 = self.level2_orders(q, v["lambda"]) if ok else (0, 0)
+        n1, n2 = self.level2_orders(v["lambda"]) if ok else (0, 0)
         return [([_cstar(), _cstar(), _cstar(), _mun(n1), _mun(n2),
-                  _mun(q.n3)], ok, "central value torsion")]
+                  _mun(self.n3)], ok, "central value torsion")]
 
-    def relations(self, q, subset: str, gens: list[Elt]) -> list:
-        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3, n3, m1, m2 = q
+    def relations(self) -> list:
+        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = self
+        m1, m2, gens = self.m1, self.m2, self.generators
         return [
             ("commutator of the first two generators",
              commutator(gens[0], gens[1]),
@@ -1392,21 +1399,24 @@ class _Case32(RankCase):
              lambda v: v["lambda"] ** (-a * e3)),
         ]
 
-    def samples(self, q, subset: str) -> list[dict]:
+    def samples(self) -> list[dict]:
+        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = self
+        n3, m1, m2 = self.n3, self.m1, self.m2
         out = []
-        for nu in ([q.n3] if q.n3 == 1 else [q.n3, 1]):
+        for nu in ([n3] if n3 == 1 else [n3, 1]):
             lam = root_of_unity(1, nu)
-            if not (lam ** (q.a * q.e2 + q.b * q.f2)).is_one:
+            if not (lam ** (a * e2 + b * f2)).is_one:
                 continue
             for j in (0, 1):
-                zv = _torsion_solution(q.m1, lam ** (-q.a * q.e1), j)
-                wv = _torsion_solution(q.m2, lam ** (-q.b1 * q.f2), j)
+                zv = _torsion_solution(m1, lam ** (-a * e1), j)
+                wv = _torsion_solution(m2, lam ** (-b1 * f2), j)
                 out.append({"t": _sym("t"), "r": _sym("r"), "s": _sym("s"),
                             "z": zv, "w": wv, "lambda": lam})
         return out
 
-    def f_moves(self, q, subset: str, vals: dict):
-        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3, n3 = q[:12]
+    def move_candidates(self, vals: dict):
+        a, b, e, d1, b1, e1, f2, b2, e2, b3, e3 = self
+        n3 = self.n3
         res_b = range(-abs(b3) + 1, abs(b3))
         res_e = range(-abs(e3) + 1, abs(e3))
         for bt, e1t, b1t, e2t in iproduct(res_b, res_e, res_b, res_e):
@@ -1416,26 +1426,17 @@ class _Case32(RankCase):
                        or (a * e2t + bt * f2 - a * e2 - b * f2) % n3):
                 continue
             for et, b2t in iproduct(res_e, res_b):
-                yield ((a, bt, et, d1, b1t, e1t, f2, b2t, e2t, b3, e3),
+                yield (self._replace(b=bt, e=et, b1=b1t, e1=e1t, b2=b2t,
+                                     e2=e2t),
                        dict(vals), "residue replacement preserving the "
                        "relations")
 
 
 # ---------------------------------------------------------------------------
-# the table: rank pair, parameter names, value names of the generators
+# the table: each rank pair's class
 
-CASES = {case.ranks: case for case in (
-    _Case11((1, 1), ("a", "d", "f", "b", "e"), ("t", "z")),
-    _Case20((2, 0), ("a", "b", "e", "f1", "b1", "e1"), ("t", "s")),
-    _Case21((2, 1), ("a", "e", "d1", "e1"), ("t", "r", "z")),
-    _Case12((1, 2), ("a", "d", "f", "b", "e", "b1", "e1"), ("t", "z", "w")),
-    _Case22((2, 2), ("a", "f", "b", "e", "d1", "f1", "b1", "e1", "b2", "e2"),
-            ("t", "s", "z", "w")),
-    _Case32((3, 2),
-            ("a", "b", "e", "d1", "b1", "e1", "f2", "b2", "e2", "b3", "e3"),
-            ("t", "r", "s", "z", "w")),
-)}
+CASES = _Table((case.ranks, case) for case in (
+    _Case11, _Case20, _Case21, _Case12, _Case22, _Case32))
 
 RANK_PAIRS = tuple(CASES)
-PARAM_LENGTH = {ranks: len(case.names) for ranks, case in CASES.items()}
 COORD_NAMES = {ranks: case.coords for ranks, case in CASES.items()}

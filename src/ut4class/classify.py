@@ -4,8 +4,8 @@ The entry points take an arbitrary finitely generated subgroup containing
 the full centre (plus a character for the finer queries) and produce:
 
   * ``normal_form``: the conjugation-canonical parameter tuple of the
-    subgroup together with an explicit conjugator realizing it,
-  * ``param_set_of``: the admissible subset the tuple belongs to,
+    subgroup, a point of its rank pair (see :mod:`.cases`), together with
+    an explicit conjugator realizing it,
   * ``is_irreducible``: the full classification record for a pair,
   * ``stratum``: the unique stratum row an irreducible pair sits on,
   * ``equivalent``: conjugacy of two pairs with an explicit certificate,
@@ -48,10 +48,10 @@ from .subgroup import (
 
 @dataclass(frozen=True)
 class NormalForm:
-    ranks: tuple[int, int]
-    params: tuple[int, ...]
+    params: cases.RankCase  # the canonical tuple, as its rank pair's point
     conjugator: Elt
-    sub: Subgroup          # the canonical subgroup build(ranks, params)
+    ranks = property(lambda self: self.params.ranks)
+    sub = property(lambda self: self.params.sub)  # the canonical subgroup
 
     def to_json(self) -> dict:
         return {
@@ -128,23 +128,11 @@ def normal_form(sub: Subgroup) -> NormalForm:
     ranks = _require_feasible(sub)
     canon, g = _canonical_residues(sub)
     moved = conjugate_subgroup(sub, g)
-    params = cases.CASES[ranks].shape(moved, canon)
-    built = cases.build_subgroup(ranks, params)
-    if built != moved:
+    point = cases.CASES[ranks].shape(moved, canon)
+    if point.sub != moved:
         raise AssertionError("normal form replay failed: the canonical "
                              "subgroup does not match the conjugated input")
-    return NormalForm(ranks, tuple(params), g, built)
-
-
-def param_set_of(sub_or_ranks, params=None) -> str:
-    """Admissible subset of a subgroup, a precomputed normal form, or an
-    explicit (ranks, params) pair; raises NoSubsetError naming the
-    violated clause."""
-    if params is not None:
-        return cases.subset_of(tuple(sub_or_ranks), tuple(params))
-    nf = (sub_or_ranks if isinstance(sub_or_ranks, NormalForm)
-          else normal_form(sub_or_ranks))
-    return cases.subset_of(nf.ranks, nf.params)
+    return NormalForm(point, g)
 
 
 def transport_character(nf: NormalForm, chi: Character) -> Character:
@@ -185,23 +173,25 @@ def _decide(nf: NormalForm, chi: Character):
     """(verdict, case values of the transported character) for a pair
     whose subgroup has normal form nf; the values are None when the
     parameters match no admissible subset."""
+    point = nf.params
     try:
-        subset = cases.subset_of(nf.ranks, nf.params)
+        subset = point.subset
     except NoSubsetError as err:
         return ClassificationResult(
-            nf.ranks, None, nf.params, nf.conjugator, False,
+            nf.ranks, None, point, nf.conjugator, False,
             {"reason": str(err)}), None
     chi2 = transport_character(nf, chi)
-    values = cases.case_values(nf.ranks, nf.params, chi2)
+    values = point.values(chi2)
     cert: dict = {"values": {k: str(v) for k, v in values.items()}}
-    ok, conds = cases.validity(nf.ranks, subset, nf.params, chi2)
-    if ok is None:  # finite index: the conditions certify minimality only
+    conds = point.conditions(values, chi2)
+    if point.scanned:  # finite index: the conditions certify minimality only
         ok, cert["double_coset_scan"] = _scan_32(nf, chi2)
         cert["minimality_conditions"] = conds
     else:
+        ok = all(c["holds"] for c in conds)
         cert["conditions"] = conds
-    return ClassificationResult(nf.ranks, subset, nf.params, nf.conjugator,
-                                bool(ok), cert), values
+    return ClassificationResult(nf.ranks, subset, point, nf.conjugator,
+                                ok, cert), values
 
 
 def _scan_32(nf: NormalForm, chi: Character):
@@ -292,7 +282,7 @@ def stratum(sub: Subgroup, chi: Character) -> StratumResult:
     if not res.irreducible:
         raise ValueError("the pair is not irreducible; strata parametrize "
                          "irreducible pairs only")
-    rows = cases.strata_table(nf.ranks, res.subset, nf.params, v)
+    rows = nf.params.strata(v)
     matched = [r for r, m in rows if m]
     if len(matched) != 1:
         raise RuntimeError(
@@ -383,15 +373,14 @@ def equivalent(sub1: Subgroup, chi1: Character, sub2: Subgroup,
     if nf1.params != nf2.params:
         return {"status": "not equivalent (proved)",
                 "invariant": "canonical parameters differ"}
-    ranks, params = nf1.ranks, nf1.params
-    K = nf1.sub
-    v1 = cases.case_values(ranks, params, transport_character(nf1, chi1))
-    v2 = cases.case_values(ranks, params, transport_character(nf2, chi2))
+    point, K = nf1.params, nf1.sub
+    v1 = point.values(transport_character(nf1, chi1))
+    v2 = point.values(transport_character(nf2, chi2))
     if not (v1["lambda"] / v2["lambda"]).is_one:
         return {"status": "not equivalent (proved)",
                 "invariant": "central values differ"}
     lam = v1["lambda"]
-    names = cases.COORD_NAMES[ranks]
+    names = point.coords
     level2_names = [n for n in names if n in ("z", "w")]
     level1_names = [n for n in names if n not in ("z", "w")]
     basis = _normalizer_level1_lattice(K)
@@ -400,7 +389,7 @@ def equivalent(sub1: Subgroup, chi1: Character, sub2: Subgroup,
     # central value raised to the pairing exponent, so the level-2 ratios
     # must be central powers hit by the pairing map on the normalizer
     deltas = []
-    for name, s in zip(names, cases.defining_generators(ranks, params)):
+    for name, s in zip(names, point.generators):
         if name in ("z", "w"):
             # the smallest n >= 0 with v1 == v2 * lam**n
             sol = power_solutions(v2[name] / v1[name], lam)
@@ -430,9 +419,8 @@ def equivalent(sub1: Subgroup, chi1: Character, sub2: Subgroup,
         u_a = elt(a=uvec[0], d=uvec[1], f=uvec[2])
     else:
         u_a = IDENTITY
-    chi_mid = conjugate_character(
-        cases.character_from_values(ranks, params, v2), u_a)
-    v2m = cases.case_values(ranks, params, chi_mid)
+    chi_mid = conjugate_character(point.character(v2), u_a)
+    v2m = point.values(chi_mid)
     for name in level2_names:
         if not (v2m[name] / v1[name]).is_one:
             raise RuntimeError("internal inconsistency: the pairing solve "
@@ -449,13 +437,12 @@ def equivalent(sub1: Subgroup, chi1: Character, sub2: Subgroup,
         if any(uvec):
             gens_b.append(elt(a=uvec[0], d=uvec[1], f=uvec[2]))
     gens_b.extend([elt(b=1), elt(e=1)])
-    chi_m = cases.character_from_values(ranks, params, v2m)
-    defining = cases.defining_generators(ranks, params)
+    chi_m = point.character(v2m)
     factors = []
     for g in gens_b:
         cc = conjugate_character(chi_m, g)
         fac = {}
-        for name, h in zip(names, defining):
+        for name, h in zip(names, point.generators):
             ratio = evaluate(cc, h) / v2m[name]
             if name in ("z", "w"):
                 if not ratio.is_one:
@@ -499,11 +486,11 @@ def f_equivalents(sub: Subgroup, chi: Character, limit: int = 20) -> dict:
     cases without such instances return an empty list.
     """
     nf = normal_form(sub)
-    subset = cases.subset_of(nf.ranks, nf.params)
+    point = nf.params
+    point.subset  # NoSubsetError for a tuple in no subset
     out = {"flag": "F-equivalence (inferred definition)", "companions": []}
     chi0 = transport_character(nf, chi)
-    vals = cases.case_values(nf.ranks, nf.params, chi0)
-    candidates = cases.f_move_candidates(nf.ranks, subset, nf.params, vals)
+    candidates = point.f_moves(point.values(chi0))
     if not candidates:
         return out
     iso0 = isolator(nf.sub)
@@ -511,11 +498,11 @@ def f_equivalents(sub: Subgroup, chi: Character, limit: int = 20) -> dict:
         if len(out["companions"]) >= limit:
             break
         try:
-            chi2 = cases.character_from_values(nf.ranks, p2, vals2)
+            chi2 = p2.character(vals2)
         except (ValueError, AssertionError):
             continue
         sub2 = chi2.sub
-        res = _decide(NormalForm(nf.ranks, p2, IDENTITY, sub2), chi2)[0]
+        res = _decide(NormalForm(p2, IDENTITY), chi2)[0]
         if not res.irreducible or isolator(sub2) != iso0:
             continue
         meet = intersect(nf.sub, sub2)

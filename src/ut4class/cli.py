@@ -269,7 +269,7 @@ def _cmd_classify(payload, args):
     nf = classify.normal_form(sub)
     out = nf.to_json()
     try:
-        out["subset"] = cases.subset_of(nf.ranks, nf.params)
+        out["subset"] = nf.params.subset
     except cases.NoSubsetError as exc:
         out["subset"] = None
         out["note"] = str(exc)
@@ -323,18 +323,15 @@ def _cmd_verify(payload, args):
 
 def _cmd_enumerate(payload, args):
     ranks = tuple(payload["case"])
-    want = payload.get("subset")
+    space = cases.param_box(ranks, (-args.box, args.box))
     items = []
-    for p in cases.param_box(ranks, (-args.box, args.box)):
-        ss = cases.subset_of(ranks, p)
-        if want is not None and ss != want:
-            continue
-        sub = cases.build_subgroup(ranks, p)
+    for p in space.walk(payload.get("subset")):
+        point = cases.parse(ranks, p)
         items.append({
             "params": list(p),
-            "subset": ss,
+            "subset": point.subset,
             "generators": [[g.a, g.d, g.f, g.b, g.e, g.c]
-                           for g in sub.generators()],
+                           for g in point.sub.generators()],
         })
         if len(items) >= args.limit:
             break

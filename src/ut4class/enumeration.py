@@ -18,16 +18,17 @@ from .subgroup import ENUMERATION_CAP, CapacityError
 
 
 class ParamBox:
-    """The admissible tuples of a case (a ``cases.RankCase``) with every
-    coordinate in [lo, hi], in lexicographic order, counted and walked
-    without building them.
+    """The admissible tuples of a case (a rank pair's class in
+    ``cases.CASES``) with every coordinate in [lo, hi], in lexicographic
+    order, counted and walked without building them.
 
     The residue coordinates of a case (``RankCase.residues``) enter the
     subset conditions only through the bounds |residue| < |modulus|.  So
     the other coordinates, the key, fix a block: the product of the ranges
     [max(lo, 1 - |m|), min(hi, |m| - 1)] of the residues, m the value of
-    each one's modulus, admissible as a whole or not at all, which its
-    first tuple decides.  A case without residues has one tuple per block.
+    each one's modulus, admissible as a whole or not at all and of one
+    subset label, which its first tuple decides.  A case without residues
+    has one tuple per block.
     The admissible tuples are the disjoint union of the blocks, so a count
     is a sum of products of range widths, and a walk descends one
     coordinate at a time through the blocks that hold the prefix so far.
@@ -39,7 +40,7 @@ class ParamBox:
 
     def __init__(self, case, box: tuple[int, int]):
         lo, hi = int(box[0]), int(box[1])
-        names = case.names
+        names = case._fields
         n = len(names)
         mod_of = {names.index(r): names.index(m) for r, m in case.residues}
         moduli = sorted(set(mod_of.values()))
@@ -64,21 +65,30 @@ class ParamBox:
         arrange = itemgetter(*(at[i] for i in range(n)))
         at_moduli = [at[m] for m in moduli]
         self.length = n
-        # a block: its lows, its highs, and tail[i], the number of its
-        # tuples with the first i coordinates fixed
-        self.blocks: list[tuple[tuple, tuple, tuple]] = []
+        # a block: its lows, its highs, tail[i], the number of its tuples
+        # with the first i coordinates fixed, and its subset label
+        self.blocks: list[tuple[tuple, tuple, tuple, str]] = []
         for key in iproduct(*choices):
             ends = [span[key[c]] for c in at_moduli]
             low = arrange(key + tuple(e[0] for e in ends))
-            if case.admissible(low):
+            label = case._make(low).label
+            if label is not None:
                 high = arrange(key + tuple(e[1] for e in ends))
                 widths = [h - l + 1 for l, h in zip(low, high)]
                 tail = tuple(accumulate(reversed(widths), mul, initial=1))
-                self.blocks.append((low, high, tail[::-1]))
+                self.blocks.append((low, high, tail[::-1], label))
         self.count = sum(b[2][0] for b in self.blocks)
 
     def __iter__(self):
-        return self._descend(self.blocks, (), None)
+        return self.walk()
+
+    def walk(self, label: str | None = None):
+        """The tuples lazily in lexicographic order; with a label, only
+        those of that subset, from its blocks alone."""
+        blocks = self.blocks
+        if label is not None:
+            blocks = [b for b in blocks if b[3] == label]
+        return self._descend(blocks, (), None)
 
     def strided(self, limit: int) -> list[tuple]:
         """The tuples of ranks 0, s, 2s, ... with s = count // limit, the
@@ -104,7 +114,7 @@ class ParamBox:
         tuple, only the tuples at those ranks."""
         i = len(prefix)
         if len(blocks) == 1:  # the blocks are disjoint, so one is left
-            low, high, tail = blocks[0]  # when prefix is a whole tuple
+            low, high, tail, _ = blocks[0]  # when prefix is a whole tuple
             if ranks is None:
                 for rest in iproduct(*(range(low[j], high[j] + 1)
                                        for j in range(i, self.length))):

@@ -254,33 +254,31 @@ def verify_case(ranks, parameter_box, limit: int | None = None) -> dict:
             "note": "strided sweep", "checked": limit, "of": total})
     for p in todo:
         report["params_checked"] += 1
-        ss = cases.subset_of(ranks, p)
-        sub = cases.build_subgroup(ranks, p)
-        gens = cases.defining_generators(ranks, p)
-        ngens = cases.normalizer_generators(ranks, ss, p)
+        point = cases.parse(ranks, p)
+        ss, sub, gens = point.subset, point.sub, point.generators
+        ngens = point.normalizer()
         for gi, u in enumerate(ngens):
             if conjugate_subgroup(sub, u) != sub:
                 _closed(report, "discrepancies", (ss, "normalize", gi), p,
                         {"subset": ss, "kind": "generator fails to normalize",
                          "generator": gi})
-        samples = [c for c in cases.character_samples(ranks, ss, p)
-                   if c.is_valid()][:2]
+        samples = [c for c in point.sample_characters() if c.is_valid()][:2]
         if not samples:
             _closed(report, "notes", (ss, "no-sample"), p,
                     {"subset": ss, "note": "no valid character sample"})
             continue
         for chi in samples:
-            v = cases.case_values(ranks, p, chi)
+            v = point.values(chi)
             for gi, u in enumerate(ngens):
                 cc = conjugate_character(chi, u)
                 computed = [evaluate(cc, h) for h in gens]
-                tab = cases.tabulated_action(ranks, ss, p, gi, v)
+                tab = point.action(gi, v)
                 if tab is not None and not all(
                         (x / y).is_one for x, y in zip(computed, tab)):
                     _closed(report, "discrepancies", (ss, "action", gi), p,
                             {"subset": ss, "kind": "tabulated action",
                              "generator": gi})
-                var = cases.printed_action_variant(ranks, ss, p, gi, v)
+                var = point.printed(gi, v)
                 if var is not None:
                     note, vals = var
                     if not all((x / y).is_one
@@ -288,8 +286,7 @@ def verify_case(ranks, parameter_box, limit: int | None = None) -> dict:
                         _closed(report, "alternate_readings",
                                 (ss, "action", gi, note), p,
                                 {"subset": ss, "generator": gi, "note": note})
-            for name, elem, exact_f, printed_f in cases.relation_checks(
-                    ranks, ss, p):
+            for name, elem, exact_f, printed_f in point.relations():
                 lhs = evaluate(chi, elem)
                 if not (lhs / exact_f(v)).is_one:
                     _closed(report, "discrepancies", (ss, "relation", name),

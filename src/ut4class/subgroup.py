@@ -362,6 +362,8 @@ def transversal(h: Subgroup, k: Subgroup,
         raise ValueError("infinite index")
     if idx > max_size:
         raise CapacityError("index too large to enumerate")
+    # at finite index each HNF below is square with its pivots on the
+    # diagonal, so the box of pivot residues is a fundamental domain
     reps1 = [IDENTITY]
     if k.gens1:
         t_rows = [intlin.solve_in_rowspace(k.level1_rows, r) for r in h.level1_rows]
@@ -369,9 +371,6 @@ def transversal(h: Subgroup, k: Subgroup,
         pivots = [r[_first_nz(r)] for r in thnf]
         reps1 = []
         for x in iproduct(*[range(p) for p in pivots]):
-            res, _ = intlin.row_reduce(thnf, x)
-            if tuple(x) != res:
-                continue
             v = _combo(x, k.level1_rows)
             reps1.append(level1_preimage(k, v))
     repsg = [IDENTITY]
@@ -381,9 +380,6 @@ def transversal(h: Subgroup, k: Subgroup,
         pivots = [r[_first_nz(r)] for r in uhnf]
         repsg = []
         for y in iproduct(*[range(p) for p in pivots]):
-            res, _ = intlin.row_reduce(uhnf, y)
-            if tuple(y) != res:
-                continue
             w = _combo(y, k.gamma1_rows)
             repsg.append(elt(b=w[0], e=w[1], c=w[2]))
     out = [compose(r1, rg) for r1 in reps1 for rg in repsg]
@@ -488,6 +484,7 @@ def isolator(h: Subgroup) -> Subgroup:
         sat1 = intlin.saturate(l1)
         t_rows = [intlin.solve_in_rowspace(sat1, r) for r in l1]
         thnf = intlin.hnf(t_rows)
+        # square with diagonal pivots: its pivot box is a fundamental domain
         pivots = [r[_first_nz(r)] for r in thnf]
         index1 = math.prod(pivots)
         if index1 > ENUMERATION_CAP:
@@ -501,9 +498,6 @@ def isolator(h: Subgroup) -> Subgroup:
             lam_h = h.gamma1_rows
             for x in iproduct(*[range(p) for p in pivots]):
                 if not any(x):
-                    continue
-                res, _ = intlin.row_reduce(thnf, x)
-                if tuple(x) != res:
                     continue
                 v = _combo(x, sat1)
                 k0 = _order_mod(x, thnf, index1)

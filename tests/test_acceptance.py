@@ -270,7 +270,7 @@ def test_criterion_08_residue_shift_orbits():
                 continue
             base = classify.normal_form(cases.build_subgroup(ranks, p))
             for shift in range(-3, 4):
-                g, p2 = cases.conjugation_move(ranks, base.params, shift)
+                g, p2 = base.params.conjugation(shift)
                 moved = conjugate_subgroup(base.sub, g)
                 nf = classify.normal_form(moved)
                 want = classify.normal_form(cases.build_subgroup(ranks, p2))
@@ -279,7 +279,7 @@ def test_criterion_08_residue_shift_orbits():
             if idx % 977 == 0:
                 chi = _first_sample(ranks, ss, p)
                 if chi is not None:
-                    g, _ = cases.conjugation_move(ranks, base.params, 2)
+                    g, _ = base.params.conjugation(2)
                     moved = conjugate_subgroup(chi.sub, g)
                     out = classify.equivalent(
                         chi.sub, chi, moved,
@@ -293,7 +293,7 @@ def test_criterion_08_residue_shift_orbits():
     # (2,4)-tail with the third-axis entry; the letter-swapped pairing
     # lands in a different parameter class (d = 0 keeps the outer
     # conjugations from sweeping the tails back together)
-    g, _ = cases.conjugation_move((1, 1), (2, 0, 1, 0, 0), 1)
+    g, _ = cases.parse((1, 1), (2, 0, 1, 0, 0)).conjugation(1)
     base = classify.normal_form(cases.build_subgroup((1, 1), (2, 0, 1, 0, 0)))
     moved = classify.normal_form(conjugate_subgroup(base.sub, g))
     swapped = classify.normal_form(
@@ -333,10 +333,9 @@ def test_criterion_10_stratum_totality():
             pairs.extend(cert)
     for ranks, sub, chi in pairs:
         nf = classify.normal_form(sub)
-        st = classify.stratum(sub, chi)
+        classify.stratum(sub, chi)
         chi2 = classify.transport_character(nf, chi)
-        v = cases.case_values(nf.ranks, nf.params, chi2)
-        rows = cases.strata_table(nf.ranks, st.subset, nf.params, v)
+        rows = nf.params.strata(nf.params.values(chi2))
         assert sum(1 for _, m in rows if m) == 1, (ranks, nf.params)
     # pinned family: the two-axis case with an off-circle central value
     p20 = (1, 0, 0, 2, 1, 0)

@@ -16,7 +16,7 @@ def _membership(ranks, box, tuples=None):
     tuple of the box's full product is tested."""
     if tuples is None:
         tuples = product(range(box[0], box[1] + 1),
-                         repeat=cases.PARAM_LENGTH[ranks])
+                         repeat=len(cases.CASES[ranks]._fields))
     want = []
     for p in tuples:
         try:
@@ -33,7 +33,7 @@ def _bounded_product(ranks, box):
     particular order: a superset of the admissible tuples, small enough
     to test one by one where the full product is not."""
     case = cases.CASES[ranks]
-    names = case.names
+    names = case._fields
     res = dict(case.residues)
     keys = [n for n in names if n not in res]
     rng = range(box[0], box[1] + 1)
@@ -80,6 +80,26 @@ def test_strided_tuples_match_the_sorted_box(ranks, half):
         assert cases.enumerate_params(ranks, box, limit) == full[:limit]
 
 
+@pytest.mark.parametrize("ranks, half", [
+    pytest.param(r, h, id=f"{r}-{h}")
+    for r, h in [*product(cases.RANK_PAIRS, (2,)), *product(SMALL, (3,))]])
+def test_blocks_hold_one_subset_label(ranks, half):
+    # the subset filter of ParamBox.walk relies on it: a block's tuples
+    # share the label of its first tuple, so a walk for one label visits
+    # only that label's blocks and yields the full walk filtered by label
+    space = cases.param_box(ranks, (-half, half))
+    label_of = {}
+    for low, high, _, label in space.blocks:
+        for p in product(*(range(lo, hi + 1) for lo, hi in zip(low, high))):
+            assert cases.subset_of(ranks, p) == label, p
+            label_of[p] = label
+    full = list(space)
+    assert len(label_of) == len(full)
+    for label in sorted(set(label_of.values())) + ["X"]:
+        assert list(space.walk(label)) == [p for p in full
+                                           if label_of[p] == label], label
+
+
 def test_sweep_params_strides_only_below_the_count():
     space = cases.param_box((2, 1), (-2, 2))
     assert cases.sweep_params((2, 1), (-2, 2), 100) == (space.strided(100),
@@ -122,11 +142,10 @@ def test_central_orders_match_the_linear_scan(ranks):
     # 2,478,336 tuples are too many: the orders read no residue coordinate
     box = cases.param_box(ranks, (-3, 3))
     tuples = (list(box) if ranks == (1, 2)
-              else [low for low, _, _ in box.blocks])
+              else [b[0] for b in box.blocks])
     for p in tuples:
-        want = _scanned_orders(ranks, cases.CASES[ranks].parse(p))
-        assert cases.central_orders(ranks, cases.subset_of(ranks, p),
-                                    p) == want, p
+        point = cases.parse(ranks, p)
+        assert list(point.central_orders()) == _scanned_orders(ranks, point), p
 
 
 def _first(ranks):
@@ -136,8 +155,8 @@ def _first(ranks):
 REFUSALS = [
     *[pytest.param(lambda r=r: cases.subset_of(r, _first(r)[:-1]),
                    rf"rank pair \({r[0]}, {r[1]}\) takes "
-                   rf"{cases.PARAM_LENGTH[r]} parameters, got "
-                   rf"{cases.PARAM_LENGTH[r] - 1}$", id=f"length-{r}")
+                   rf"{len(cases.CASES[r]._fields)} parameters, got "
+                   rf"{len(cases.CASES[r]._fields) - 1}$", id=f"length-{r}")
       for r in cases.RANK_PAIRS],
     pytest.param(lambda: cases.defining_generators((1, 1), (1, 0, 1, 0, 0, 0)),
                  r"rank pair \(1, 1\) takes 5 parameters, got 6$",
@@ -149,15 +168,16 @@ REFUSALS = [
            lambda: cases.defining_generators((4, 4), (1, 2, 3))),
           ("enumerate_params",
            lambda: cases.enumerate_params((4, 4), (-1, 1))),
-          ("conjugation_move",
-           lambda: cases.conjugation_move((4, 4), (1, 2, 3), 1)))],
-    *[pytest.param(lambda r=r: cases.conjugation_move(r, _first(r), 1),
+          ("parse", lambda: cases.parse((4, 4), (1, 2, 3))))],
+    pytest.param(lambda: cases.character_samples((1, 1), "S2",
+                                                 (2, 1, 2, 1, 0)),
+                 r"the tuple is in subset S1, not S2$", id="samples-subset"),
+    *[pytest.param(lambda r=r: cases.parse(r, _first(r)).conjugation(1),
                    r"the tabulated residue-shifting move exists for rank "
                    r"pairs \(1,1\), \(2,0\) and \(2,1\) only$",
                    id=f"conjugation-{r}")
       for r in ((1, 2), (2, 2), (3, 2))],
-    *[pytest.param(lambda r=r: cases.central_orders(
-        r, cases.subset_of(r, _first(r)), _first(r)),
+    *[pytest.param(lambda r=r: cases.parse(r, _first(r)).central_orders(),
                    r"central orders are parameter-determined only for the "
                    r"two level-2-saturated cases$", id=f"central-{r}")
       for r in ((1, 1), (2, 0), (2, 1), (3, 2))],
@@ -178,7 +198,7 @@ def test_f_move_candidates_stop_at_the_cap(a):
     vals = {name: symbol_value(ValueSymbol(name))
             for name in ("t", "r", "z", "lambda")}
     t0 = time.perf_counter()
-    got = cases.f_move_candidates((2, 1), "S2", (a, 0, 1, 0), vals)
+    got = cases.parse((2, 1), (a, 0, 1, 0)).f_moves(vals)
     assert time.perf_counter() - t0 < 1
     assert len(got) == 64
     orders = [p[2] for p, _, _ in got]

@@ -64,13 +64,13 @@ def test_normal_form_known_tuples():
             assert nf.conjugator == IDENTITY
 
 
-def test_param_set_of_known_tuples():
-    assert classify.param_set_of((1, 1), (2, 1, 2, 1, 0)) == "S1"
-    assert classify.param_set_of((1, 1), (1, 0, 0, 1, 5)) == "N1"
-    assert classify.param_set_of((1, 1), (0, 0, 3, 2, 1)) == "N2"
+def test_subset_of_known_tuples():
+    assert cases.subset_of((1, 1), (2, 1, 2, 1, 0)) == "S1"
+    assert cases.subset_of((1, 1), (1, 0, 0, 1, 5)) == "N1"
+    assert cases.subset_of((1, 1), (0, 0, 3, 2, 1)) == "N2"
     sub = cases.build_subgroup((2, 1), (1, 0, 1, 0))
-    assert classify.param_set_of(sub) == "S1"
-    assert classify.param_set_of((2, 1), (2, 0, 1, 0)) == "S2"
+    assert classify.normal_form(sub).params.subset == "S1"
+    assert cases.subset_of((2, 1), (2, 0, 1, 0)) == "S2"
 
 
 def test_normal_form_roundtrip_sweep():
@@ -311,15 +311,14 @@ def test_conjugation_moves_change_params_and_certify():
         for p, ss in admissible_params(ranks, (-2, 2)):
             base = classify.normal_form(cases.build_subgroup(ranks, p))
             for shift in (1, 2, -3):
-                g, p2 = cases.conjugation_move(ranks, base.params, shift)
+                g, p2 = base.params.conjugation(shift)
                 moved = conjugate_subgroup(base.sub, g)
                 nf = classify.normal_form(moved)
                 want = classify.normal_form(cases.build_subgroup(ranks, p2))
                 assert nf.params == want.params, (ranks, p, shift)
             chi = valid_sample(ranks, ss, p)
             if chi is not None:
-                g, _ = cases.conjugation_move(
-                    ranks, classify.normal_form(chi.sub).params, 2)
+                g, _ = classify.normal_form(chi.sub).params.conjugation(2)
                 moved2 = conjugate_subgroup(chi.sub, g)
                 out = classify.equivalent(
                     chi.sub, chi, moved2, conjugate_character(chi, inverse(g)))

@@ -404,8 +404,9 @@ def test_oversized_box_is_refused_at_once(tmp_path, capsys):
 
 
 def test_large_boxes_answer_quickly(tmp_path, capsys):
-    # the first tuple of a box with 144,937,184 admissible tuples, and the
-    # 100 tuples of a strided sweep of one with 127,264
+    # the first tuple of a box with 144,937,184 admissible tuples, none of
+    # the 7,415,392 of one whose blocks hold no tuple of subset "X", and
+    # the 100 tuples of a strided sweep of one with 127,264
     t0 = time.perf_counter()
     rc, out, _ = run(tmp_path, capsys, "enumerate", {"case": [3, 2]},
                      "--json", "--box", "4", "--limit", "1")
@@ -413,6 +414,12 @@ def test_large_boxes_answer_quickly(tmp_path, capsys):
     assert rc == 0
     assert json.loads(out)["items"][0]["params"] == [-4, -3, -3, -4, -3, -3,
                                                       -4, -3, -3, -4, -4]
+    t0 = time.perf_counter()
+    rc, out, _ = run(tmp_path, capsys, "enumerate",
+                     {"case": [3, 2], "subset": "X"}, "--json", "--box", "3")
+    assert time.perf_counter() - t0 < 1
+    assert (rc, json.loads(out)) == (0, {"case": [3, 2], "count": 0,
+                                         "items": []})
     t0 = time.perf_counter()
     todo, total = cases.sweep_params((3, 2), (-2, 2), 100)
     assert time.perf_counter() - t0 < 0.1

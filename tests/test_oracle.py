@@ -43,11 +43,10 @@ def test_s_set_whole_group_and_centre():
 
 
 def test_s_set_contains_listed_normalizer_generators():
-    p = (1, 0, 1, 0, 0)
-    ss = cases.subset_of((1, 1), p)
-    sub = cases.build_subgroup((1, 1), p)
+    point = cases.parse((1, 1), (1, 0, 1, 0, 0))
+    sub = point.sub
     wit = {w.g for w in oracle.s_set_ball(sub, 2)}
-    for u in cases.normalizer_generators((1, 1), ss, p):
+    for u in point.normalizer():
         assert u in wit
         assert not contains(sub, u)
 
