@@ -248,7 +248,9 @@ class RankCase:
 
         Free directions get fresh symbols; constrained directions get exact
         torsion solutions.  Every returned character is a valid
-        homomorphism and satisfies the case's irreducibility conditions.
+        homomorphism; an assignment that admits none is skipped.  The
+        samples are inputs for the deciders, not irreducible pairs: many
+        of them induce reducibly.
         """
         chars = []
         for assign in self.samples():

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from . import intlin
-from .core import IDENTITY, Elt, compose, conjugate, inverse, power
+from .core import IDENTITY, Elt, commutator, conjugate, inverse
 from .subgroup import (
     Subgroup,
     conjugate_subgroup,
@@ -369,40 +369,45 @@ def power_solutions(x: UnitValue, y: UnitValue):
     return (n, 0)
 
 
-def level2_gate(h: Subgroup, chi: Character, g0: Elt) -> bool:
-    """Whether chi agrees with its conjugate by g0 on the level-2
-    generators of h.  Conjugation by elt(b=B, e=E) fixes them, so when
-    this fails no g0 * elt(b=B, e=E) agrees."""
-    return all(evaluate(chi, compose(conjugate(s, g0), inverse(s))).is_one
-               for s in h.gens2)
+def level2_gate(h: Subgroup, chi: Character) -> list[tuple[int, ...]]:
+    """HNF basis of the lattice of (A, F) such that chi agrees with its
+    conjugate by an element with a = A, f = F on the level-2 generators
+    of h, which must contain the full centre.
+
+    Conjugating s in h.gens2 by such an element moves it by the central
+    power A*s.e - s.b*F, and the other coordinates move it not at all,
+    so agreement asks lambda**(A*s.e - s.b*F) == 1 for every s: linear
+    congruences modulo the order of lambda (equations when that order
+    is infinite).  When (A, F) is outside, no element over it agrees.
+    """
+    n = len(h.gens2)
+    if not n:
+        return [(1, 0), (0, 1)]
+    order = chi.val_c.value_order()
+    modulus = [] if order is None else [
+        [order if i == j else 0 for j in range(n)] for i in range(n)]
+    return intlin.preimage([[s.e for s in h.gens2],
+                            [-s.b for s in h.gens2]], modulus)
 
 
-def agreement_conditions(h: Subgroup, chi: Character, g0: Elt, coeffs):
+def agreement_conditions(chi: Character, g0: Elt, ks):
     """When chi agrees with its conjugate by g0 * elt(b=B, e=E) on the
     level-1 part of its domain, as congruences on (B, E); level2_gate
     covers the rest.
 
-    h must contain the full centre, and coeffs are the rows of
-    level1_sublattice(h, *g0[:3]).  Conjugating by elt(b=B, e=E) moves
-    an element x by the central power B*x.f - E*x.a, so each row's
-    element k gives one condition ((k.f, -k.a), sol): cb*B + ce*E must
-    be a solution n of rho * lambda**n == 1, rho the ratio chi takes
-    between k's conjugate by g0 and k, with sol as from power_solutions
-    ("all", or (n0, q)).  Returns None when some condition has no
-    solution.
+    chi's domain must contain the full centre, and ks are the elements
+    of level1_sublattice(chi.sub, *g0[:3]).  Conjugating by elt(b=B,
+    e=E) moves an element k by the central power B*k.f - E*k.a, so each
+    k gives one condition ((k.f, -k.a), sol): cb*B + ce*E must be a
+    solution n of rho * lambda**n == 1, rho the ratio chi takes between
+    k's conjugate by g0 and k, that is its value on the commutator
+    g0 k g0^-1 k^-1, with sol as from power_solutions ("all", or
+    (n0, q)).  Returns None when some condition has no solution.
     """
     lam = chi.val_c
     out = []
-    for c in coeffs:
-        k = None
-        for ci, t in zip(c, h.gens1):
-            if ci:
-                term = power(t, ci)
-                k = term if k is None else compose(k, term)
-        if k is None:
-            continue
-        delta = compose(conjugate(k, g0), inverse(k))
-        sol = power_solutions(evaluate(chi, delta), lam)
+    for k in ks:
+        sol = power_solutions(evaluate(chi, commutator(g0, k)), lam)
         if sol is None:
             return None
         out.append(((k.f, -k.a), sol))

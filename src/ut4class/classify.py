@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 from . import cases, intlin
 from .cases import CaseStructureError, NoSubsetError  # normal_form raises the former
@@ -42,6 +41,7 @@ from .subgroup import (
     intersect,
     isolator,
     level1_preimage,
+    level1_shifts,
     level1_sublattice,
 )
 
@@ -208,6 +208,11 @@ def _scan_32(nf: NormalForm, chi: Character):
     (B, E).  Their solutions are a coset of a lattice that contains the
     level-2 lattice, so they are counted as a lattice index, never
     listed.
+
+    Only the classes whose (A, F) passes level2_gate are visited; the
+    others agree nowhere.  A class's sublattice depends only on its
+    level1_shifts, and its agreeing residues only on its conditions, so
+    both are computed once per distinct key within the scan.
     """
     sub = nf.sub
     (pa, _, _), (_, pd, _), (_, _, pf) = sub.level1_rows
@@ -219,29 +224,36 @@ def _scan_32(nf: NormalForm, chi: Character):
             f"classes, more than {ENUMERATION_CAP}")
     agreeing = 0
     witness = None
-    for A, D, F in product(range(pa), range(pd), range(pf)):
-        g0 = level1_preimage(WHOLE_GROUP, (A, D, F))
-        if not level2_gate(sub, chi, g0):
-            continue
-        coeffs, _ = level1_sublattice(sub, A, D, F)
-        conds = agreement_conditions(sub, chi, g0, coeffs)
-        if conds is None:
-            continue
-        found = _agreeing_residues(conds, level2)
-        if found is None:
-            continue
-        first, ((qb, m), (_, qe)) = found
-        count = pb * pe // (qb * qe)
-        if not (A or D or F):
-            # the identity coset lies in H: skip to the next residue
-            if first != (0, 0):
-                raise AssertionError("the identity coset disagrees with "
-                                     "itself")
-            count -= 1
-            first = (0, qe) if qe < pe else (qb, m)
-        agreeing += count
-        if witness is None and count:
-            witness = compose(g0, elt(b=first[0], e=first[1]))
+    sublattices: dict = {}
+    residues: dict = {}
+    for A, fs in _gate_classes(level2_gate(sub, chi), pa, pf):
+        for D in range(pd):
+            for F in fs:
+                g0 = level1_preimage(WHOLE_GROUP, (A, D, F))
+                shifts = level1_shifts(sub, A, D, F)
+                if shifts not in sublattices:
+                    sublattices[shifts] = level1_sublattice(sub, A, D, F)[0]
+                conds = agreement_conditions(chi, g0, sublattices[shifts])
+                if conds is None:
+                    continue
+                conds = tuple(conds)
+                if conds not in residues:
+                    residues[conds] = _agreeing_residues(conds, level2)
+                found = residues[conds]
+                if found is None:
+                    continue
+                first, ((qb, m), (_, qe)) = found
+                count = pb * pe // (qb * qe)
+                if not (A or D or F):
+                    # the identity coset lies in H: skip to the next residue
+                    if first != (0, 0):
+                        raise AssertionError("the identity coset disagrees "
+                                             "with itself")
+                    count -= 1
+                    first = (0, qe) if qe < pe else (qb, m)
+                agreeing += count
+                if witness is None and count:
+                    witness = compose(g0, elt(b=first[0], e=first[1]))
     ok = agreeing == 0
     index = classes * pb * pe
     conds = {"index": index, "cosets_checked": index,
@@ -249,6 +261,22 @@ def _scan_32(nf: NormalForm, chi: Character):
     if witness is not None:
         conds["agreement_witness"] = list(witness)
     return ok, conds
+
+
+def _gate_classes(gate, pa: int, pf: int):
+    """The level-1 residues 0 <= A < pa, 0 <= F < pf with (A, F) in the
+    lattice of HNF basis gate, as pairs (A, range of its F), by
+    increasing A; the lattice is walked, never the whole box."""
+    # a lattice without a pivot in the A column pins A = 0, which the
+    # stride pa reproduces
+    step_a, slope = next((r for r in gate if r[0]), (pa, 0))
+    step_f = next((r[1] for r in gate if not r[0]), 0)
+    for A in range(0, pa, step_a):
+        f0 = A // step_a * slope
+        if step_f:
+            yield A, range(f0 % step_f, pf, step_f)
+        elif 0 <= f0 < pf:
+            yield A, range(f0, f0 + 1)
 
 
 def _agreeing_residues(conds, level2):

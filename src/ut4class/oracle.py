@@ -10,7 +10,7 @@ Nothing in this module trusts a tabulated closed form.
 import itertools
 from dataclasses import dataclass
 
-from . import cases
+from . import cases, intlin
 from .characters import (
     Character,
     agreement_conditions,
@@ -120,17 +120,18 @@ def _s_ball(H: Subgroup, chi, radius: int, outside_only: bool,
         return out
     rng = range(-radius, radius + 1)
     cs = list(rng)
+    gate = None if chi is None else level2_gate(H, chi)
     for A, D, F in itertools.product(rng, repeat=3):
         g0 = elt(a=A, d=D, f=F)
-        coeffs, full = level1_sublattice(H, A, D, F)
+        ks, full = level1_sublattice(H, A, D, F)
         if not full:
             continue
         if chi is None:
             rows = []
         else:
-            if not level2_gate(H, chi, g0):
+            if any(intlin.row_reduce(gate, (A, F))[0]):
                 continue
-            rows = agreement_conditions(H, chi, g0, coeffs)
+            rows = agreement_conditions(chi, g0, ks)
             if rows is None:
                 continue
         dom = None

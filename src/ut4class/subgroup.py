@@ -281,7 +281,11 @@ def decompose(h: Subgroup, g: Elt) -> tuple[list[int], Elt]:
     g == prod(gen**q) * rep, and g lies in h exactly when rep is the
     identity; the quotients are then the coordinates of g.
     """
-    quots, g = _walk(h.gens1 + h.gens2, g)
+    if g.a or g.d or g.f:
+        quots, g = _walk(h.gens1 + h.gens2, g)
+    else:  # the level-1 quotients are 0, and the walk along gens1 a no-op
+        quots, g = _walk(h.gens2, g)
+        quots[:0] = [0] * len(h.gens1)
     if h.c0:
         q = g.c // h.c0
         quots.append(q)
@@ -304,15 +308,31 @@ def level1_preimage(h: Subgroup, v: Sequence[int]) -> Elt:
     return Elt(a, d, f, -r.b, -r.e, -r.c - a * r.e)
 
 
+def level1_shifts(h: Subgroup, A: int, D: int, F: int):
+    """The (b, e) shift that conjugation by a level-1 part (A, D, F) gives
+    each level-1 row of h, reduced modulo the level-2 lattice.
+    level1_sublattice depends on (A, D, F) only through these residues."""
+    level2 = h.level2_rows
+    return tuple(intlin.row_reduce(level2, (A * v[1] - v[0] * D,
+                                            D * v[2] - v[1] * F))[0]
+                 for v in h.level1_rows)
+
+
 def level1_sublattice(h: Subgroup, A: int, D: int, F: int):
-    """Coefficient rows (over the level-1 generators) of the elements of h
-    that conjugation by a level-1 part (A, D, F) keeps inside h: their
-    conjugation shift of (b, e) must lie in the level-2 lattice.
-    Returns (HNF rows, whether they have full rank)."""
-    V = h.level1_rows
-    coeffs = intlin.preimage(
-        [(A * v[1] - v[0] * D, D * v[2] - v[1] * F) for v in V], h.level2_rows)
-    return coeffs, len(coeffs) == len(V)
+    """A basis of the elements of h that conjugation by a level-1 part
+    (A, D, F) keeps inside h: those whose conjugation shift of (b, e)
+    lies in the level-2 lattice.  The basis holds one element
+    prod(t**c) over the level-1 generators t per HNF row c of their
+    coefficients.  Returns (elements, whether they have full rank)."""
+    coeffs = intlin.preimage(level1_shifts(h, A, D, F), h.level2_rows)
+    elements = []
+    for c in coeffs:
+        k = IDENTITY
+        for ci, t in zip(c, h.gens1):
+            if ci:
+                k = compose(k, power(t, ci))
+        elements.append(k)
+    return elements, len(coeffs) == len(h.gens1)
 
 
 def derived_subgroup(h: Subgroup) -> Subgroup:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ut4class import cases
+from ut4class import cases, intlin
 from ut4class.characters import (
     ONE,
     Character,
@@ -17,6 +17,7 @@ from ut4class.characters import (
     character,
     conjugate_character,
     evaluate,
+    level2_gate,
     power_solutions,
     root_of_unity,
     solve_character,
@@ -271,6 +272,29 @@ def test_character_torsion_compatibility():
     chi = character(h, vals2=[symbol_value(Z)], val_c=root_of_unity(1, 5))
     chi.validate()
     assert evaluate(chi, elt(b=4, c=3)) == symbol_value(Z, 2) * root_of_unity(1, 5)
+
+
+@pytest.mark.parametrize("level2", [
+    [], [elt(b=2, e=1)], [elt(b=2, e=1), elt(e=3)], [elt(b=4, e=6), elt(e=10)],
+])
+def test_level2_gate_matches_the_group_law(level2):
+    # (A, F) lies in the gate lattice exactly when chi agrees with its
+    # conjugate by elt(a=A, d=D, f=F) on every level-2 generator
+    h = subgroup(level2 + [elt(c=1)])
+    for lam in (ONE, root_of_unity(1, 2), root_of_unity(1, 3),
+                root_of_unity(5, 12), symbol_value(LAM)):
+        chi = character(h, vals2=[symbol_value(Z)] * len(h.gens2), val_c=lam)
+        gate = level2_gate(h, chi)
+        assert gate == intlin.hnf(gate) and len(gate) <= 2
+        for A in range(-6, 7):
+            for F in range(-6, 7):
+                inside = not any(intlin.row_reduce(gate, (A, F))[0])
+                for D in (0, 1):
+                    g0 = elt(a=A, d=D, f=F)
+                    assert inside == all(
+                        evaluate(chi, compose(conjugate(s, g0),
+                                              inverse(s))).is_one
+                        for s in h.gens2), (lam, A, D, F)
 
 
 def test_evaluate_outside_domain_raises():

@@ -2,10 +2,11 @@
 
 import random
 import time
+from itertools import product
 
 import pytest
 
-from ut4class import cases, classify, oracle
+from ut4class import cases, classify, intlin, oracle
 from ut4class.cases import NoSubsetError
 from ut4class.characters import (
     ONE,
@@ -13,16 +14,21 @@ from ut4class.characters import (
     character,
     conjugate_character,
     evaluate,
+    level2_gate,
+    power_solutions,
     root_of_unity,
     symbol_value,
 )
 from ut4class.classify import CaseStructureError
-from ut4class.core import IDENTITY, Elt, conjugate, elt, inverse
+from ut4class.core import IDENTITY, Elt, compose, conjugate, elt, inverse
 from ut4class.subgroup import (
+    WHOLE_GROUP,
     conjugate_subgroup,
     contains,
     intersect,
     isolator,
+    level1_preimage,
+    level1_sublattice,
     subgroup,
 )
 
@@ -249,7 +255,7 @@ def test_scan_32_matches_the_coset_oracle():
 
 
 @pytest.mark.parametrize("params, index, seconds", [
-    ((12, 0, 0, 12, 0, 0, 12, 0, 0, 12, 12), 248832, 10),
+    ((12, 0, 0, 12, 0, 0, 12, 0, 0, 12, 12), 248832, 2),
     ((4, 0, 0, 25, 0, 0, 4, 0, 0, 100, 100), 4000000, 1),
 ])
 def test_scan_32_large_index_trivial_character(params, index, seconds):
@@ -267,6 +273,116 @@ def test_scan_32_large_index_trivial_character(params, index, seconds):
     assert scan["agreeing_nontrivial_cosets"] == index - 1
     assert scan["agreement_witness"] == [0, 0, 0, 0, 1, 0]
     assert_mackey_witness(sub, triv, elt(e=1))
+
+
+def reference_scan_32(sub, chi):
+    """The double_coset_scan certificate of a canonical (3,2) subgroup
+    from a loop that shares nothing between level-1 classes: each class
+    takes the level-2 gate and its agreement conditions by the group
+    law, on the generic level1_sublattice."""
+    (pa, _, _), (_, pd, _), (_, _, pf) = sub.level1_rows
+    (pb, _), (_, pe) = level2 = sub.level2_rows
+    agreeing, witness = 0, None
+    for A, D, F in product(range(pa), range(pd), range(pf)):
+        g0 = level1_preimage(WHOLE_GROUP, (A, D, F))
+
+        def ratio(x):
+            return evaluate(chi, compose(conjugate(x, g0), inverse(x)))
+
+        if not all(ratio(s).is_one for s in sub.gens2):
+            continue
+        conds = [((k.f, -k.a), power_solutions(ratio(k), chi.val_c))
+                 for k in level1_sublattice(sub, A, D, F)[0]]
+        if any(sol is None for _, sol in conds):
+            continue
+        found = classify._agreeing_residues(conds, level2)
+        if found is None:
+            continue
+        first, ((qb, m), (_, qe)) = found
+        count = pb * pe // (qb * qe)
+        if not (A or D or F):
+            count -= 1
+            first = (0, qe) if qe < pe else (qb, m)
+        agreeing += count
+        if witness is None and count:
+            witness = compose(g0, elt(b=first[0], e=first[1]))
+    index = pa * pd * pf * pb * pe
+    out = {"index": index, "cosets_checked": index,
+           "agreeing_nontrivial_cosets": agreeing}
+    if witness is not None:
+        out["agreement_witness"] = list(witness)
+    return out
+
+
+def assert_scan_matches_the_reference(chi):
+    res = classify.is_irreducible(chi.sub, chi)
+    nf = classify.normal_form(chi.sub)
+    want = reference_scan_32(nf.sub, classify.transport_character(nf, chi))
+    assert res.certificate["double_coset_scan"] == want, (nf.params, want)
+
+
+def test_scan_32_matches_the_reference_loop():
+    # every valid sample character on 200 strided box-2 tuples, and each
+    # of them with a torsion central value wherever that stays valid
+    allp = cases.enumerate_params((3, 2), (-2, 2))
+    checked = pruned = 0
+    for p in allp[::len(allp) // 200][:200]:
+        point = cases.parse((3, 2), p)
+        for chi in point.sample_characters():
+            if not chi.is_valid():
+                continue
+            chis = [chi]
+            for n in (2, 3, 4, 6):
+                vals = {**point.values(chi), "lambda": root_of_unity(1, n)}
+                try:
+                    chis.append(point.character(vals))
+                except ValueError:
+                    continue
+            for c in chis:
+                if not c.is_valid():
+                    continue
+                assert_scan_matches_the_reference(c)
+                checked += 1
+                pruned += level2_gate(c.sub, c) != [(1, 0), (0, 1)]
+    assert checked >= 1000 and pruned >= 200, (checked, pruned)
+
+
+def test_gate_classes_walk_the_lattice():
+    # the walk yields exactly the box points of the gate lattice, by
+    # increasing A and F, for lattices of rank 0, 1 and 2, with and
+    # without a slope in the F column
+    rng = random.Random(11)
+    lattices = [[], [(0, 3)], [(2, 5)], [(3, -1)], [(1, 0), (0, 1)]]
+    lattices += [intlin.hnf([[rng.randint(-6, 6) for _ in range(2)]
+                             for _ in range(rng.randint(1, 2))])
+                 for _ in range(40)]
+    for gate in lattices:
+        for pa, pf in ((1, 1), (5, 7), (12, 4)):
+            want = [(A, F) for A in range(pa) for F in range(pf)
+                    if not any(intlin.row_reduce(gate, (A, F))[0])]
+            got = [(A, F) for A, fs in classify._gate_classes(gate, pa, pf)
+                   for F in fs]
+            assert got == want, (gate, pa, pf)
+
+
+@pytest.mark.parametrize("params, lam", [
+    ((12, 0, 0, 12, 0, 0, 12, 0, 0, 12, 12), ONE),
+    ((4, 0, 0, 25, 0, 0, 4, 0, 0, 100, 100), ONE),
+    ((12, 0, 0, 12, 0, 0, 12, 0, 0, 12, 12), root_of_unity(1, 24)),
+])
+def test_scan_32_large_index_matches_the_reference(params, lam):
+    # with lambda = zeta(1/24) the level-2 gate passes only even A and F,
+    # so the scan visits a quarter of the 1,728 level-1 classes
+    sub = cases.build_subgroup((3, 2), params)
+    chi = character(sub, (ONE,) * 3, (ONE,) * 2, lam)
+    assert chi.is_valid()
+    t0 = time.perf_counter()
+    res = classify.is_irreducible(sub, chi)
+    assert time.perf_counter() - t0 < 2
+    assert res.irreducible is False
+    if not lam.is_one:
+        assert level2_gate(sub, chi) == [(2, 0), (0, 2)]
+    assert_scan_matches_the_reference(chi)
 
 
 def test_stratum_unique_row_per_pair():

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ut4class.core import (
     IDENTITY,
@@ -53,6 +54,20 @@ def test_closed_forms_match_matrix_products():
             oracle_compose(h, x), inverse(h))
         assert commutator(x, h) == oracle_compose(
             oracle_compose(x, h), oracle_compose(inverse(x), inverse(h)))
+
+
+_big = st.builds(Elt, *[st.integers(-10**6, 10**6)] * 6)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_big, _big)
+def test_commutator_is_the_conjugation_ratio(g, k):
+    # characters.agreement_conditions takes chi's ratio between k's
+    # conjugate by g and k as chi(commutator(g, k)), in closed form
+    ratio = compose(conjugate(k, g), inverse(k))
+    assert commutator(g, k) == ratio
+    assert ratio == oracle_compose(oracle_compose(g, k),
+                                   oracle_compose(inverse(g), inverse(k)))
 
 
 def test_matrix_roundtrip():

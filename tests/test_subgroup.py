@@ -6,6 +6,7 @@ import random
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ut4class import cases, intlin
 from ut4class.core import (
@@ -20,6 +21,7 @@ from ut4class.core import (
 )
 from ut4class.subgroup import (
     CapacityError,
+    _walk,
     conjugate_subgroup,
     contains,
     decompose,
@@ -154,6 +156,29 @@ def test_decompose_rebuilds_the_element():
                 x = compose(x, power(t, q))
             assert compose(x, rep) == g
             assert (rep == IDENTITY) == exact_member(h, g)
+
+
+_big = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.builds(Elt, *[_big] * 6), min_size=1, max_size=4),
+       st.builds(Elt, st.just(0), st.just(0), st.just(0), _big, _big, _big))
+def test_decompose_level2_path_matches_the_full_walk(gens, g):
+    # an element with a = d = f = 0 walks only gens2; the full walk along
+    # gens1 as well gives the same quotients and representative, whether
+    # or not the element lies in h
+    h = subgroup(gens)
+    members = [compose(power(s, 3), power(t, -2))
+               for s in h.gens2 for t in h.gens2]
+    for x in [g] + members:
+        quots, rep = _walk(h.gens1 + h.gens2, x)
+        if h.c0:
+            q = rep.c // h.c0
+            quots.append(q)
+            rep = rep._replace(c=rep.c - q * h.c0)
+        assert decompose(h, x) == (quots, rep)
+    assert all(decompose(h, x)[1] == IDENTITY for x in members)
 
 
 def coset_rep(h, g):
