@@ -69,6 +69,17 @@ def _order(x: int, m: int) -> int:
     return abs(m) // _gcd(x, m) if m else 0
 
 
+def _residues(m: int, r: int, mod: int) -> range:
+    """The x in [0, |mod|) with m*x = r modulo mod, in increasing order:
+    none, or the gcd(m, mod) steps of |mod| / gcd(m, mod) from the xgcd
+    solution."""
+    g, x, _ = intlin.xgcd(m, mod)
+    if not mod or r % g:
+        return range(0)
+    step = abs(mod) // g
+    return range(x * (r // g) % step, abs(mod), step)
+
+
 class _kept:
     """A property computed on the first read and kept in the instance;
     functools.cached_property before Python 3.12 takes a lock on each
@@ -997,12 +1008,8 @@ class _Case12(RankCase, namedtuple("_Case12", "a d f b e b1 e1")):
             a2, d2, f2 = a // m, d // m, f // m
             bshift = (m * (m - 1) // 2) * a2 * d2
             eshift = (m * (m - 1) // 2) * d2 * f2
-            for beta in range(abs(b1)):
-                if (m * beta + bshift - b) % b1 if b1 else (m * beta + bshift - b):
-                    continue
-                for eps in range(abs(e1)):
-                    if (m * eps + eshift - e) % e1 if e1 else (m * eps + eshift - e):
-                        continue
+            for beta in _residues(m, b - bshift, b1):
+                for eps in _residues(m, e - eshift, e1):
                     qb = _div(m * beta + bshift - b, b1)
                     qe = _div(m * eps + eshift - e, e1)
                     for root in (t * z ** qb * w ** qe).roots(m):

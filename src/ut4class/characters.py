@@ -21,11 +21,10 @@ values kill the derived subgroup, which ``validate`` checks.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from . import intlin
 from .core import IDENTITY, Elt, commutator, conjugate, inverse
@@ -185,13 +184,6 @@ class UnitValue:
         if self.powers:
             return "circle_free"
         return "torsion"
-
-    def numeric(self, assign: Mapping[str, complex]) -> complex:
-        """Numeric value for concrete symbol assignments (principal branches)."""
-        out = cmath.exp(2j * cmath.pi * self.num / self.den)
-        for s, e in self.powers:
-            out *= cmath.exp(e / self.den * cmath.log(complex(assign[s.name])))
-        return out
 
     def __str__(self) -> str:
         parts = []

@@ -31,7 +31,7 @@ from .characters import (
     level2_gate,
     power_solutions,
 )
-from .core import Elt, IDENTITY, compose, elt, inverse, power
+from .core import Elt, IDENTITY, compose, elt, inverse
 from .subgroup import (
     ENUMERATION_CAP,
     WHOLE_GROUP,
@@ -43,6 +43,7 @@ from .subgroup import (
     level1_preimage,
     level1_shifts,
     level1_sublattice,
+    word,
 )
 
 
@@ -485,10 +486,7 @@ def equivalent(sub1: Subgroup, chi1: Character, sub2: Subgroup,
         return {"status": "not equivalent (proved)",
                 "invariant": "the level-1 value ratios are outside the "
                 "multiplier image of the normalizer"}
-    u_b = IDENTITY
-    for g, n in zip(gens_b, exps):
-        u_b = compose(u_b, power(g, n))
-    w = compose(u_a, u_b)
+    w = compose(u_a, word(gens_b, exps))
     total = compose(inverse(nf2.conjugator), compose(w, nf1.conjugator))
     moved = conjugate_subgroup(sub1, total)
     if moved != sub2:

@@ -12,15 +12,14 @@ Every operation is exact: none searches a box or returns a partial
 answer.  ``intersect`` solves one linear lattice system per layer.
 
 ``ENUMERATION_CAP`` bounds the enumerations whose length the input
-controls.  Past it ``transversal`` and ``isolator`` raise
-``CapacityError``: the input is valid, and the tool declines the work.
+controls.  Past it ``transversal`` raises ``CapacityError``: the input
+is valid, and the tool declines the work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
@@ -308,6 +307,15 @@ def level1_preimage(h: Subgroup, v: Sequence[int]) -> Elt:
     return Elt(a, d, f, -r.b, -r.e, -r.c - a * r.e)
 
 
+def word(gens: Sequence[Elt], exps: Sequence[int]) -> Elt:
+    """The product of gens[i] ** exps[i], taken left to right."""
+    out = IDENTITY
+    for t, x in zip(gens, exps):
+        if x:
+            out = compose(out, power(t, x))
+    return out
+
+
 def level1_shifts(h: Subgroup, A: int, D: int, F: int):
     """The (b, e) shift that conjugation by a level-1 part (A, D, F) gives
     each level-1 row of h, reduced modulo the level-2 lattice.
@@ -325,14 +333,7 @@ def level1_sublattice(h: Subgroup, A: int, D: int, F: int):
     prod(t**c) over the level-1 generators t per HNF row c of their
     coefficients.  Returns (elements, whether they have full rank)."""
     coeffs = intlin.preimage(level1_shifts(h, A, D, F), h.level2_rows)
-    elements = []
-    for c in coeffs:
-        k = IDENTITY
-        for ci, t in zip(c, h.gens1):
-            if ci:
-                k = compose(k, power(t, ci))
-        elements.append(k)
-    return elements, len(coeffs) == len(h.gens1)
+    return [word(h.gens1, c) for c in coeffs], len(coeffs) == len(h.gens1)
 
 
 def derived_subgroup(h: Subgroup) -> Subgroup:
@@ -454,108 +455,54 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
 
 # --- isolator ---
 
-def _order_mod(x: Sequence[int], rows: Sequence[Sequence[int]], bound: int) -> int:
-    for k in intlin.divisors(bound):
-        if intlin.in_rowspan(rows, tuple(k * t for t in x)):
-            return k
-    raise AssertionError("order must divide the lattice index")
-
-
 def isolator(h: Subgroup) -> Subgroup:
-    """Canonical form of the set of elements with a positive power in h.
+    """Canonical form of the isolator I(H): the elements with a positive
+    power in h.
 
-    For this group the set is a subgroup.  The computation visits every
-    class of the level-1 lattice modulo its saturation, so past
-    ``ENUMERATION_CAP`` such classes it raises ``CapacityError``.
+    By Mal'cev (1949) I(H) is the intersection of G with the rational hull
+    H^Q of H, so it is a subgroup.  Two central cuts find it, each a fixed
+    number of lattice solves.
+
+    Cut 1 works modulo N, the centre Z times the saturated level-2 lattice
+    sat2: N is normal, and the level-2 layer is central modulo Z.  H meets
+    the level-2 layer of G/N trivially, so each t whose level-1 part lies
+    in the saturation sat1 has t**e1 = k * rho(t) with k in H and
+    e1 = [sat1 : l1], and rho is additive into that layer.  t lies in
+    J = I(HN) exactly when rho(t) is trivial there, and a level-2 factor u
+    of t moves rho by e1 * u: the level-1 image of J is one preimage, and
+    one solve per basis word corrects the word's (b, e).
+
+    Cut 2 is needed only when H meets Z trivially.  Then the hull of HZ is
+    the direct product of H^Q and Z^Q, its projection pi onto Z^Q is a
+    homomorphism on J, and I(H) is the kernel of pi.  With
+    n = e1 * [sat2 : l2] every g in J has g**n = k * z**(n * pi(g)) with k
+    in H and z = elt(c=1), so I(H) is generated by the words of the x with
+    sum(x_g * n * pi(g)) in nZ, each with its corner shifted by
+    -sum(x_g * pi(g)).
     """
-    gens = list(h.generators())
-    l2 = h.level2_rows
-    if h.c0:
-        gens.append(elt(c=1))
-        for w in intlin.saturate(l2):
-            gens.append(elt(b=w[0], e=w[1]))
+    sat2 = intlin.saturate(h.level2_rows)
+    gens = [elt(b=w[0], e=w[1]) for w in sat2] + [elt(c=1)]
+    sat1 = intlin.saturate(h.level1_rows)
+    e1 = intlin.lattice_index(sat1, h.level1_rows)
+    if e1 == 1:
+        gens.extend(h.gens1)
     else:
-        sat2 = intlin.saturate(l2)
-        if sat2:
-            idx = intlin.lattice_index(sat2, l2)
-            phis = []
-            for w in sat2:
-                kw = _order_mod(w, l2, idx)
-                coeffs = intlin.solve_in_rowspace(l2, tuple(kw * t for t in w))
-                s = IDENTITY
-                for cz, g2 in zip(coeffs, h.gens2):
-                    s = compose(s, power(g2, cz))
-                phis.append(Fraction(s.c, kw))
-            den = 1
-            for ph in phis:
-                den = den * ph.denominator // math.gcd(den, ph.denominator)
-            mat = [tuple(int(ph * den) for ph in phis) + (den,)]
-            kern = intlin.kernel_right(mat, len(phis) + 1)
-            for kr in kern:
-                x = kr[: len(phis)]
-                if not any(x):
-                    continue
-                be = _combo(x, sat2)
-                cval = sum(xi * ph for xi, ph in zip(x, phis))
-                assert cval.denominator == 1
-                gens.append(elt(b=be[0], e=be[1], c=int(cval)))
-    l1 = h.level1_rows
-    if l1:
-        sat1 = intlin.saturate(l1)
-        t_rows = [intlin.solve_in_rowspace(sat1, r) for r in l1]
-        thnf = intlin.hnf(t_rows)
-        # square with diagonal pivots: its pivot box is a fundamental domain
-        pivots = [r[_first_nz(r)] for r in thnf]
-        index1 = math.prod(pivots)
-        if index1 > ENUMERATION_CAP:
-            raise CapacityError(
-                f"the isolator visits {index1} level-1 classes modulo the "
-                f"saturation, more than {ENUMERATION_CAP}")
-        if index1 > 1:
-            satbe = intlin.saturate(l2)
-            idx2 = intlin.lattice_index(satbe, l2) if l2 else 1
-            bound = (idx2 or 1) * max(h.c0, 1)
-            lam_h = h.gamma1_rows
-            for x in iproduct(*[range(p) for p in pivots]):
-                if not any(x):
-                    continue
-                v = _combo(x, sat1)
-                k0 = _order_mod(x, thnf, index1)
-                w = _root_witness(h, v, k0, bound, lam_h)
-                if w is not None:
-                    gens.append(w)
-    return subgroup(gens)
-
-
-def _root_witness(h: Subgroup, v, k0: int, bound: int, lam_h) -> Elt | None:
-    """Element with level-1 part v and a power in h, if one exists."""
-    u = elt(a=v[0], d=v[1], f=v[2])
-    for d in intlin.divisors(bound):
-        j = k0 * d
-        tj = level1_preimage(h, tuple(j * t for t in v))
-
-        def resid(s3) -> tuple[int, int, int]:
-            g = compose(u, elt(b=s3[0], e=s3[1], c=s3[2]))
-            r = compose(inverse(tj), power(g, j))
-            return (r.b, r.e, r.c)
-
-        r0 = resid((0, 0, 0))
-        cols = []
-        for i in range(3):
-            ei = tuple(1 if t == i else 0 for t in range(3))
-            cols.append(tuple(a - b for a, b in zip(resid(ei), r0)))
-        chk = resid((1, 1, 1))
-        assert chk == tuple(a + sum(c[t] for c in cols)
-                            for t, a in enumerate(r0))
-        sys_rows = [
-            tuple(cols[i][t] for i in range(3)) + tuple(row[t] for row in lam_h)
-            for t in range(3)
-        ]
-        got = intlin.solve_linear(sys_rows, tuple(-a for a in r0))
-        if got is None:
-            continue
-        s3 = got[0][:3]
-        w = compose(u, elt(b=s3[0], e=s3[1], c=s3[2]))
-        assert contains(h, power(w, j))
-        return w
-    return None
+        ts = [elt(a=v[0], d=v[1], f=v[2]) for v in sat1]
+        rhos = [decompose(h, power(t, e1))[1][3:5] for t in ts]
+        cut = list(sat2) + [(e1, 0), (0, e1)]
+        for x in intlin.preimage(rhos, cut):
+            u = intlin.solve_in_rowspace(cut, _combo(x, rhos))[-2:]
+            gens.append(compose(word(ts, x), elt(b=-u[0], e=-u[1])))
+    j = subgroup(gens)
+    if h.c0:
+        return j
+    n = e1 * intlin.lattice_index(sat2, h.level2_rows)
+    js = j.gens1 + j.gens2
+    zetas = []
+    for g in js:
+        r = decompose(h, power(g, n))[1]
+        assert not any(r[:5]), "g**n must lie in H times the centre"
+        zetas.append(r.c)
+    return subgroup(
+        compose(word(js, x), elt(c=-sum(a * z for a, z in zip(x, zetas)) // n))
+        for x in intlin.preimage([(z,) for z in zetas], [(n,)]))

@@ -148,6 +148,14 @@ def test_central_orders_match_the_linear_scan(ranks):
         assert list(point.central_orders()) == _scanned_orders(ranks, point), p
 
 
+def test_residue_walk_matches_the_linear_scan():
+    # the (1,2) root moves adjust each residue x in [0, |mod|) with
+    # m*x = r modulo mod; mod 0 has no residues at all
+    for m, r, mod in product(range(1, 13), range(-13, 14), range(-12, 13)):
+        want = [x for x in range(abs(mod)) if mod and (m * x - r) % mod == 0]
+        assert list(cases._residues(m, r, mod)) == want, (m, r, mod)
+
+
 def _first(ranks):
     return cases.enumerate_params(ranks, (-1, 1), limit=1)[0]
 

@@ -1,6 +1,5 @@
 """Formal character values and evaluation on subgroups."""
 
-import cmath
 import math
 import random
 from fractions import Fraction
@@ -173,23 +172,6 @@ def test_power_solutions():
     assert power_solutions(root_of_unity(1, 3), w) == (4, 6)
     assert power_solutions(ONE, ONE) == "all"
     assert power_solutions(lam, ONE) is None
-
-
-def test_numeric_consistency():
-    rng = random.Random(61)
-    assign = {"z": 1.7, "w": cmath.exp(0.9j), "lam": 0.4}
-    vals = [
-        symbol_value(Z) * root_of_unity(1, 5),
-        symbol_value(W, 2) * symbol_value(LAM, -1),
-        root_of_unity(3, 8),
-    ]
-    for _ in range(20):
-        a = vals[rng.randrange(len(vals))]
-        b = vals[rng.randrange(len(vals))]
-        k = rng.randint(-3, 3)
-        lhs = (a * b ** k).numeric(assign)
-        rhs = a.numeric(assign) * b.numeric(assign) ** k
-        assert abs(lhs - rhs) < 1e-9
 
 
 def test_character_on_abelian_subgroup_is_multiplicative():

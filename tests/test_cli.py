@@ -649,17 +649,40 @@ def test_isolator_command(tmp_path, capsys):
     assert res["isolator"]["rank_signature"] == [1, 0, 1]
 
 
-def test_isolator_refuses_past_the_cap(tmp_path, capsys):
-    # the level-1 lattice has index 200,003 in its saturation; a verdict
-    # drawn from H itself would wrongly call H isolated
+@pytest.mark.parametrize("rows, level1, level2", [
+    ([[200003, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]],
+     [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], []),
+    ([[199999, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]],
+     [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], []),
+    ([[2, 0, 0, 0, 0, 0], [0, 0, 0, 10**18 + 9, 0, 0], [0, 0, 0, 0, 1, 0],
+      [0, 0, 0, 0, 0, 1]],
+     [[1, 0, 0, 0, 0, 0]], [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]),
+], ids=["level-1 index 200003", "level-1 index 199999",
+        "level-2 index 10**18+9"])
+def test_isolator_answers_at_any_lattice_index(tmp_path, capsys, rows,
+                                               level1, level2):
+    # the isolator takes a fixed number of lattice solves, however large
+    # the index of either lattice in its saturation
     t0 = time.perf_counter()
-    rc, out, err = run(tmp_path, capsys, "isolator",
-                       {"generators": [[200003, 0, 0, 0, 0, 0],
-                                       [0, 0, 1, 0, 0, 0],
-                                       [0, 0, 0, 0, 0, 1]]})
+    rc, out, err = run(tmp_path, capsys, "isolator", {"generators": rows},
+                       "--json")
     assert time.perf_counter() - t0 < 1
-    assert (rc, out) == (5, "")
-    assert err.startswith("capacity exceeded:")
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"is_isolated": False, "isolator": {
+        "level1": level1, "level2": level2, "center": 1,
+        "rank_signature": [len(level1), len(level2), 1]}}
+
+
+def test_f_equivalents_large_level2_index_answers_quickly(tmp_path, capsys):
+    # (1,2) with b' = 2*10**8: the residue adjustment of a root move walks
+    # the solutions of its congruence, not every residue modulo b'
+    payload = {"generators": [[2, 2, 2, 0, 0, 0], [0, 0, 0, 2 * 10**8, 0, 0],
+                              [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
+               "values": ["t", "z", "w", {"root_of_unity": [1, 2]}]}
+    t0 = time.perf_counter()
+    rc, out, _ = run(tmp_path, capsys, "f-equivalents", payload, "--json")
+    assert time.perf_counter() - t0 < 2
+    assert (rc, json.loads(out)["companions"]) == (0, [])
 
 
 def test_f_equivalents_command(tmp_path, capsys):

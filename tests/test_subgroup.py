@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -21,6 +22,7 @@ from ut4class.core import (
 )
 from ut4class.subgroup import (
     CapacityError,
+    _combo,
     _walk,
     conjugate_subgroup,
     contains,
@@ -364,6 +366,124 @@ def test_intersect_symmetry():
     for i in range(0, len(samples) - 1, 2):
         h, k = subgroup(samples[i]), subgroup(samples[i + 1])
         assert intersect(h, k) == intersect(k, h)
+
+
+def _order_mod(x, rows, bound):
+    for k in intlin.divisors(bound):
+        if intlin.in_rowspan(rows, tuple(k * t for t in x)):
+            return k
+    raise AssertionError("order must divide the lattice index")
+
+
+def _root_witness(h, v, k0, bound, lam_h):
+    """Element with level-1 part v and a power in h, if one exists: for
+    each divisor d of bound, one linear solve for the (b, e, c) that make
+    the (k0*d)-th power land in h."""
+    u = elt(a=v[0], d=v[1], f=v[2])
+    for d in intlin.divisors(bound):
+        j = k0 * d
+        tj = level1_preimage(h, tuple(j * t for t in v))
+
+        def resid(s3):
+            g = compose(u, elt(b=s3[0], e=s3[1], c=s3[2]))
+            r = compose(inverse(tj), power(g, j))
+            return (r.b, r.e, r.c)
+
+        r0 = resid((0, 0, 0))
+        cols = []
+        for i in range(3):
+            ei = tuple(1 if t == i else 0 for t in range(3))
+            cols.append(tuple(a - b for a, b in zip(resid(ei), r0)))
+        # the residue is affine in s3
+        assert resid((1, 1, 1)) == tuple(a + sum(c[t] for c in cols)
+                                         for t, a in enumerate(r0))
+        sys_rows = [
+            tuple(cols[i][t] for i in range(3)) + tuple(row[t] for row in lam_h)
+            for t in range(3)
+        ]
+        got = intlin.solve_linear(sys_rows, tuple(-a for a in r0))
+        if got is None:
+            continue
+        s3 = got[0][:3]
+        w = compose(u, elt(b=s3[0], e=s3[1], c=s3[2]))
+        assert contains(h, power(w, j))
+        return w
+    return None
+
+
+def reference_isolator(h):
+    """The isolator by enumeration, sharing nothing with `isolator` but
+    the lattice routines: the level-2 roots from the corner values of
+    their powers, then a root witness for every class of the level-1
+    lattice modulo its saturation."""
+    gens = list(h.generators())
+    l2 = h.level2_rows
+    if h.c0:
+        gens.append(elt(c=1))
+        for w in intlin.saturate(l2):
+            gens.append(elt(b=w[0], e=w[1]))
+    else:
+        sat2 = intlin.saturate(l2)
+        if sat2:
+            idx = intlin.lattice_index(sat2, l2)
+            phis = []
+            for w in sat2:
+                kw = _order_mod(w, l2, idx)
+                coeffs = intlin.solve_in_rowspace(l2, tuple(kw * t for t in w))
+                s = IDENTITY
+                for cz, g2 in zip(coeffs, h.gens2):
+                    s = compose(s, power(g2, cz))
+                phis.append(Fraction(s.c, kw))
+            den = math.lcm(*(ph.denominator for ph in phis))
+            mat = [tuple(int(ph * den) for ph in phis) + (den,)]
+            for kr in intlin.kernel_right(mat, len(phis) + 1):
+                x = kr[: len(phis)]
+                if not any(x):
+                    continue
+                be = _combo(x, sat2)
+                cval = sum(xi * ph for xi, ph in zip(x, phis))
+                assert cval.denominator == 1
+                gens.append(elt(b=be[0], e=be[1], c=int(cval)))
+    l1 = h.level1_rows
+    if l1:
+        sat1 = intlin.saturate(l1)
+        t_rows = [intlin.solve_in_rowspace(sat1, r) for r in l1]
+        thnf = intlin.hnf(t_rows)
+        pivots = [r[next(j for j, t in enumerate(r) if t)] for r in thnf]
+        index1 = math.prod(pivots)
+        if index1 > 1:
+            idx2 = intlin.lattice_index(intlin.saturate(l2), l2) if l2 else 1
+            bound = (idx2 or 1) * max(h.c0, 1)
+            for x in iproduct(*[range(p) for p in pivots]):
+                if not any(x):
+                    continue
+                k0 = _order_mod(x, thnf, index1)
+                w = _root_witness(h, _combo(x, sat1), k0, bound, h.gamma1_rows)
+                if w is not None:
+                    gens.append(w)
+    return subgroup(gens)
+
+
+def isolator_class(h):
+    """(meets the centre trivially, level-1 lattice unsaturated, level-2
+    lattice unsaturated): the three splits of the isolator's cuts."""
+    e1 = intlin.lattice_index(intlin.saturate(h.level1_rows), h.level1_rows)
+    e2 = intlin.lattice_index(intlin.saturate(h.level2_rows), h.level2_rows)
+    return (h.c0 == 0, e1 > 1, e2 > 1)
+
+
+def test_isolator_matches_the_reference_enumeration():
+    # 1-4 random generators with entries in [-6, 6], about 55% of them 0
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(400):
+        gens = [Elt(*[0 if rng.random() < 0.55 else rng.randint(-6, 6)
+                      for _ in range(6)])
+                for _ in range(rng.randint(1, 4))]
+        h = subgroup(gens)
+        assert isolator(h) == reference_isolator(h), gens
+        seen.add(isolator_class(h))
+    assert seen == set(iproduct((False, True), repeat=3))
 
 
 def test_isolator_contains_and_roots():
